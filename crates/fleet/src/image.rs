@@ -74,11 +74,11 @@ impl ModuleImage {
     ) -> Result<ModuleImage, mini_sos::loader::LoadError> {
         let runtime = match protection {
             Protection::Sfi => {
-                Some(harbor_sfi::SfiRuntime::build(layout.prot, layout.runtime_origin))
+                Some(harbor_sfi::SfiRuntime::shared(layout.prot, layout.runtime_origin))
             }
             _ => None,
         };
-        let loaded = load_module(src, layout, protection, runtime.as_ref())?;
+        let loaded = load_module(src, layout, protection, runtime.as_deref())?;
         Ok(ModuleImage {
             name: loaded.name.to_string(),
             domain: loaded.domain.index(),

@@ -67,8 +67,8 @@
 //! certificate makes claims about executions, and an unreachable store has
 //! none to claim about).
 
-use crate::cfg::{rel_target, Cfg};
-use crate::verify::writes_reg;
+use crate::cfg::{rel_target, Cfg, Slot};
+use crate::verify::written_regs;
 use avr_core::isa::{Instr, Ptr, PtrMode, Reg};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -170,11 +170,10 @@ impl State {
         self.set(r, AbsReg::TOP);
     }
 
-    fn havoc_mask(&mut self, mask: u32) {
-        for i in 0..32 {
-            if mask & (1 << i) != 0 {
-                self.regs[i] = AbsReg::TOP;
-            }
+    fn havoc_mask(&mut self, mut mask: u32) {
+        while mask != 0 {
+            self.regs[mask.trailing_zeros() as usize] = AbsReg::TOP;
+            mask &= mask - 1;
         }
     }
 
@@ -207,17 +206,12 @@ impl State {
 }
 
 /// Register clobber mask of one instruction — an *over*-approximation of
-/// the registers it may write (contrast [`writes_reg`], which is the deep
+/// the registers it may write (contrast [`written_regs`], which is the deep
 /// verifier's under-approximation: it deliberately omits pointer
 /// post-increments because a `st X+` does not *stage* a value). Calls are
 /// handled separately by the interprocedural layer.
 fn clobber_mask(i: Instr) -> u32 {
-    let mut m = 0u32;
-    for r in Reg::all() {
-        if writes_reg(i, r) {
-            m |= 1 << r.index();
-        }
-    }
+    let mut m = written_regs(i);
     // Pointer-updating addressing modes write the pair as a side effect.
     match i {
         Instr::Ld { ptr, mode, .. } | Instr::St { ptr, mode, .. } if mode != PtrMode::Plain => {
@@ -381,52 +375,59 @@ pub fn certify_module_stores(
 /// Runs the interprocedural pass over a reconstructed CFG and certifies
 /// its stores against the segment in `dc`.
 pub fn certify_stores(cfg: &Cfg, dc: &DataflowConfig) -> StoreCertificate {
-    let summaries = function_summaries(cfg, dc);
+    // Each slot's register effect, computed once: the clobber mask of a
+    // local instruction, or the havoc mask of a call (which needs the
+    // callee summaries, themselves built from the local masks).
+    let mut masks: Vec<u32> = cfg.slots.iter().map(|s| clobber_mask(s.instr)).collect();
+    let summaries = function_summaries(cfg, dc, &masks);
+    for (mask, slot) in masks.iter_mut().zip(&cfg.slots) {
+        if let Some(havoc) = call_havoc(slot, cfg, dc, &summaries) {
+            *mask = havoc;
+        }
+    }
+    let succs: Vec<Vec<usize>> = cfg
+        .blocks
+        .iter()
+        .map(|b| b.succs.iter().map(|&t| cfg.block_idx(t).expect("successor is a block")).collect())
+        .collect();
 
     // ── fixpoint over block-entry states ────────────────────────────────
     // Roots: origin, declared entries and intra-module call targets, all ⊤.
-    let mut entry: BTreeMap<u32, State> = BTreeMap::new();
-    let mut work: VecDeque<u32> = VecDeque::new();
-    let seed = |start: u32, entry: &mut BTreeMap<u32, State>, work: &mut VecDeque<u32>| {
-        if cfg.block_at(start).is_some() && !entry.contains_key(&start) {
-            entry.insert(start, State::TOP);
-            work.push_back(start);
+    let mut entry: Vec<Option<State>> = vec![None; cfg.blocks.len()];
+    let mut work: VecDeque<usize> = VecDeque::new();
+    let mut seed = |start: u32| {
+        if let Some(bi) = cfg.block_idx(start) {
+            if entry[bi].is_none() {
+                entry[bi] = Some(State::TOP);
+                work.push_back(bi);
+            }
         }
     };
     if !cfg.slots.is_empty() {
-        seed(cfg.origin, &mut entry, &mut work);
+        seed(cfg.origin);
     }
     for &e in &cfg.entries {
-        seed(e, &mut entry, &mut work);
+        seed(e);
     }
     for c in &cfg.calls {
-        seed(c.to, &mut entry, &mut work);
+        seed(c.to);
     }
 
-    while let Some(start) = work.pop_front() {
-        let Some(block) = cfg.block_at(start) else { continue };
-        let mut st = entry[&start];
-        let (lo, hi) = block.slots;
-        for slot in &cfg.slots[lo..hi] {
-            transfer(
-                &mut st,
-                slot.instr,
-                slot.addr,
-                slot.xdom_operand.is_some(),
-                cfg,
-                dc,
-                &summaries,
-            );
+    while let Some(bi) = work.pop_front() {
+        let mut st = entry[bi].expect("queued blocks have an entry state");
+        let (lo, hi) = cfg.blocks[bi].slots;
+        for (slot, &mask) in cfg.slots[lo..hi].iter().zip(&masks[lo..hi]) {
+            transfer(&mut st, slot.instr, mask);
         }
-        for &succ in &block.succs {
-            match entry.get_mut(&succ) {
+        for &succ in &succs[bi] {
+            match &mut entry[succ] {
                 Some(existing) => {
                     if existing.join_into(&st) {
                         work.push_back(succ);
                     }
                 }
-                None => {
-                    entry.insert(succ, st);
+                none => {
+                    *none = Some(st);
                     work.push_back(succ);
                 }
             }
@@ -448,25 +449,16 @@ pub fn certify_stores(cfg: &Cfg, dc: &DataflowConfig) -> StoreCertificate {
             cert.total_stores += 1;
         }
     }
-    for block in &cfg.blocks {
-        let Some(st0) = entry.get(&block.start) else { continue };
-        let mut st = *st0;
+    for (block, st0) in cfg.blocks.iter().zip(&entry) {
+        let Some(mut st) = *st0 else { continue };
         let (lo, hi) = block.slots;
-        for slot in &cfg.slots[lo..hi] {
+        for (slot, &mask) in cfg.slots[lo..hi].iter().zip(&masks[lo..hi]) {
             if store_is_safe(&st, slot.instr, dc) {
                 let off = slot.addr - cfg.origin;
                 cert.bits[(off / 64) as usize] |= 1 << (off % 64);
                 cert.certified_stores += 1;
             }
-            transfer(
-                &mut st,
-                slot.instr,
-                slot.addr,
-                slot.xdom_operand.is_some(),
-                cfg,
-                dc,
-                &summaries,
-            );
+            transfer(&mut st, slot.instr, mask);
         }
     }
     cert.finish()
@@ -490,42 +482,45 @@ fn store_is_safe(st: &State, i: Instr, dc: &DataflowConfig) -> bool {
     }
 }
 
-/// The abstract transfer function for one instruction.
-#[allow(clippy::too_many_lines)]
-fn transfer(
-    st: &mut State,
-    i: Instr,
-    addr: u32,
-    is_xdom: bool,
-    cfg: &Cfg,
-    dc: &DataflowConfig,
-    summaries: &BTreeMap<u32, u32>,
-) {
-    use Instr::*;
-
-    // Calls first: the callee decides what survives.
-    let call_target = match i {
-        Call { k } if !is_xdom => Some(k),
-        Rcall { k } => Some(rel_target(addr, k)),
-        Call { .. } /* xdom inline-operand form */ | Icall => None,
-        _ => {
-            apply_local(st, i);
-            return;
-        }
-    };
-    match call_target {
-        Some(t) if (cfg.origin..cfg.end).contains(&t) => {
-            st.havoc_mask(summaries.get(&t).copied().unwrap_or(ALL_REGS));
-        }
-        Some(t) if dc.transparent_calls.contains(&t) => {}
-        Some(t) if dc.pointer_clobber_calls.contains(&t) => st.havoc_mask(PTR_PAIRS),
-        _ => st.havoc_mask(ALL_REGS), // xdom, icall, kernel, unknown
+/// The abstract transfer function for one instruction; `mask` is the
+/// slot's precomputed register effect (see [`certify_stores`]).
+fn transfer(st: &mut State, i: Instr, mask: u32) {
+    match i {
+        // Calls: the callee decides what survives.
+        Instr::Call { .. } | Instr::Rcall { .. } | Instr::Icall => st.havoc_mask(mask),
+        _ => apply_local(st, i, mask),
     }
 }
 
+/// What a call slot havocs: the callee's summary for an intra-module call,
+/// nothing for a transparent stub, the pointer pairs for a store-check
+/// stub, everything otherwise (cross-domain, `icall`, kernel, unknown).
+/// `None` for a slot that is not a call.
+fn call_havoc(
+    slot: &Slot,
+    cfg: &Cfg,
+    dc: &DataflowConfig,
+    summaries: &BTreeMap<u32, u32>,
+) -> Option<u32> {
+    let target = match slot.instr {
+        Instr::Call { k } if slot.xdom_operand.is_none() => Some(k),
+        Instr::Rcall { k } => Some(rel_target(slot.addr, k)),
+        Instr::Call { .. } /* xdom inline-operand form */ | Instr::Icall => None,
+        _ => return None,
+    };
+    Some(match target {
+        Some(t) if (cfg.origin..cfg.end).contains(&t) => {
+            summaries.get(&t).copied().unwrap_or(ALL_REGS)
+        }
+        Some(t) if dc.transparent_calls.contains(&t) => 0,
+        Some(t) if dc.pointer_clobber_calls.contains(&t) => PTR_PAIRS,
+        _ => ALL_REGS,
+    })
+}
+
 /// Non-call instructions: modelled precisely where profitable, otherwise
-/// havocked via [`clobber_mask`].
-fn apply_local(st: &mut State, i: Instr) {
+/// havocked via their [`clobber_mask`], passed in as `clobber`.
+fn apply_local(st: &mut State, i: Instr, clobber: u32) {
     use Instr::*;
     match i {
         Ldi { d, k } => st.set(d, AbsReg { iv: Interval::exact(k), prov: Provenance::Imm }),
@@ -614,7 +609,7 @@ fn apply_local(st: &mut State, i: Instr) {
             // SPL/SPH: a frame-derived byte — tracked, never certifiable.
             st.set(d, AbsReg { iv: Interval::TOP, prov: Provenance::Frame });
         }
-        other => st.havoc_mask(clobber_mask(other)),
+        _ => st.havoc_mask(clobber),
     }
 }
 
@@ -622,8 +617,9 @@ fn apply_local(st: &mut State, i: Instr) {
 /// target, over the CFG's call edges. A function's summary covers its own
 /// straight-line clobbers plus (transitively) everything its callees
 /// clobber; any call that leaves the module — or any recursion, since the
-/// fixpoint only grows — saturates toward [`ALL_REGS`].
-fn function_summaries(cfg: &Cfg, dc: &DataflowConfig) -> BTreeMap<u32, u32> {
+/// fixpoint only grows — saturates toward [`ALL_REGS`]. `clobbers` holds
+/// each slot's [`clobber_mask`].
+fn function_summaries(cfg: &Cfg, dc: &DataflowConfig, clobbers: &[u32]) -> BTreeMap<u32, u32> {
     let targets: BTreeSet<u32> = cfg.calls.iter().map(|c| c.to).collect();
     if targets.is_empty() {
         return BTreeMap::new();
@@ -633,34 +629,31 @@ fn function_summaries(cfg: &Cfg, dc: &DataflowConfig) -> BTreeMap<u32, u32> {
     // its entry block along successor edges (calls fall through, so this
     // over-covers shared tails — harmless, the mask only grows).
     let mut summaries: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut members: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    let mut members: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for &f in &targets {
-        if cfg.block_at(f).is_none() {
+        let Some(entry) = cfg.block_idx(f) else {
             // A call to a mid-instruction address — the linear verifier
             // rejects it, but stay sound regardless.
             summaries.insert(f, ALL_REGS);
             members.insert(f, Vec::new());
             continue;
-        }
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
-        let mut stack: Vec<u32> = vec![f];
-        while let Some(s) = stack.pop() {
-            let Some(b) = cfg.block_at(s) else { continue };
-            if !seen.insert(b.start) {
+        };
+        let mut seen = vec![false; cfg.blocks.len()];
+        let mut stack: Vec<usize> = vec![entry];
+        while let Some(bi) = stack.pop() {
+            if std::mem::replace(&mut seen[bi], true) {
                 continue;
             }
-            for &t in &b.succs {
-                stack.push(t);
-            }
+            stack.extend(cfg.blocks[bi].succs.iter().filter_map(|&t| cfg.block_idx(t)));
         }
-        let blocks: Vec<u32> = seen.into_iter().collect();
+        let blocks: Vec<usize> = (0..seen.len()).filter(|&bi| seen[bi]).collect();
         let mut mask = 0u32;
-        for &start in &blocks {
-            let (lo, hi) = cfg.block_at(start).expect("member block exists").slots;
-            for slot in &cfg.slots[lo..hi] {
+        for &bi in &blocks {
+            let (lo, hi) = cfg.blocks[bi].slots;
+            for (slot, &clobber) in cfg.slots[lo..hi].iter().zip(&clobbers[lo..hi]) {
                 match slot.instr {
                     Instr::Call { .. } | Instr::Rcall { .. } | Instr::Icall => {} // below
-                    other => mask |= clobber_mask(other),
+                    _ => mask |= clobber,
                 }
             }
         }
@@ -674,24 +667,10 @@ fn function_summaries(cfg: &Cfg, dc: &DataflowConfig) -> BTreeMap<u32, u32> {
         let mut changed = false;
         for &f in &targets {
             let mut mask = summaries[&f];
-            for &start in &members[&f] {
-                let (lo, hi) = cfg.block_at(start).expect("member block exists").slots;
+            for &bi in &members[&f] {
+                let (lo, hi) = cfg.blocks[bi].slots;
                 for slot in &cfg.slots[lo..hi] {
-                    let callee = match slot.instr {
-                        Instr::Call { .. } if slot.xdom_operand.is_some() => None,
-                        Instr::Call { k } => Some(k),
-                        Instr::Rcall { k } => Some(rel_target(slot.addr, k)),
-                        Instr::Icall => None,
-                        _ => continue,
-                    };
-                    mask |= match callee {
-                        Some(t) if (cfg.origin..cfg.end).contains(&t) => {
-                            summaries.get(&t).copied().unwrap_or(ALL_REGS)
-                        }
-                        Some(t) if dc.transparent_calls.contains(&t) => 0,
-                        Some(t) if dc.pointer_clobber_calls.contains(&t) => PTR_PAIRS,
-                        _ => ALL_REGS,
-                    };
+                    mask |= call_havoc(slot, cfg, dc, &summaries).unwrap_or(0);
                 }
             }
             if mask != summaries[&f] {

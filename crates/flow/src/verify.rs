@@ -21,17 +21,21 @@
 //!   exactly the module end ([`VerifyError::FallsOffEnd`]).
 
 use crate::cfg::Cfg;
+use crate::dataflow::{DataflowConfig, StoreCertificate};
 use crate::lint::{lint, Lint};
 use crate::stack::{certify, StackCertificate};
 use avr_core::isa::{Instr, IwPair, Reg};
-use harbor_sfi::{SfiRuntime, StubRole, VerifierConfig, VerifyError};
+use harbor_sfi::{LayoutMemo, SfiLayout, SfiRuntime, StubRole, VerifierConfig, VerifyError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// Does `i` write register `reg`? Used by the store-check-window proof
-/// (conservative: unknown instructions write nothing).
-pub(crate) fn writes_reg(i: Instr, reg: Reg) -> bool {
+/// Bitmask of the registers `i` writes (bit `n` = `rn`). Used by the
+/// dataflow clobber masks and, via [`writes_reg`], by the
+/// store-check-window proof (conservative: unknown instructions write
+/// nothing).
+pub(crate) fn written_regs(i: Instr) -> u32 {
     use Instr::*;
-    let n = reg.index();
+    let bit = |r: Reg| 1u32 << r.index();
     match i {
         Add { d, .. }
         | Adc { d, .. }
@@ -61,8 +65,8 @@ pub(crate) fn writes_reg(i: Instr, reg: Reg) -> bool {
         | Elpm { d, .. }
         | In { d, .. }
         | Pop { d }
-        | Bld { d, .. } => d == reg,
-        Movw { d, .. } => d.index() == n || d.index() + 1 == n,
+        | Bld { d, .. } => bit(d),
+        Movw { d, .. } => 0b11 << d.index(),
         Mul { .. }
         | Muls { .. }
         | Mulsu { .. }
@@ -70,10 +74,15 @@ pub(crate) fn writes_reg(i: Instr, reg: Reg) -> bool {
         | Fmuls { .. }
         | Fmulsu { .. }
         | Lpm0
-        | Elpm0 => n <= 1,
-        Adiw { p, .. } | Sbiw { p, .. } => p.lo() == reg || p.lo().index() + 1 == n,
-        _ => false,
+        | Elpm0 => 0b11,
+        Adiw { p, .. } | Sbiw { p, .. } => 0b11 << p.lo().index(),
+        _ => 0,
     }
+}
+
+/// Does `i` write register `reg`? (See [`written_regs`].)
+pub(crate) fn writes_reg(i: Instr, reg: Reg) -> bool {
+    written_regs(i) & (1 << reg.index()) != 0
 }
 
 const _: () = {
@@ -93,24 +102,53 @@ pub struct ModuleAnalysis {
 }
 
 /// The CFG-based deep verifier. Build one per runtime with
-/// [`CfgVerifier::for_runtime`]; it derives its stub knowledge from the
-/// same [`StubRole`] table as the linear verifiers.
+/// [`CfgVerifier::for_runtime`], or share the process-wide one with
+/// [`CfgVerifier::shared`]; it derives its stub knowledge from the same
+/// [`StubRole`] table as the linear verifiers.
+///
+/// Every check runs over one reconstructed [`Cfg`]: build it with
+/// [`CfgVerifier::cfg`], then hand it to [`CfgVerifier::verify_cfg`],
+/// [`CfgVerifier::certify_cfg_stores`] and [`crate::certify`]. The
+/// word-slice methods ([`CfgVerifier::verify`], [`CfgVerifier::certify`],
+/// …) each build their own.
 #[derive(Debug, Clone)]
 pub struct CfgVerifier {
     config: VerifierConfig,
     roles: BTreeMap<u32, StubRole>,
     safe_stack_capacity: u16,
+    /// The stub calls the store dataflow treats specially (segment unset).
+    stub_calls: DataflowConfig,
 }
 
 impl CfgVerifier {
     /// Builds the verifier matching a generated run-time.
     pub fn for_runtime(rt: &SfiRuntime) -> CfgVerifier {
         let l = rt.layout();
+        let roles: BTreeMap<u32, StubRole> = rt.stub_roles().into_iter().collect();
+        let mut stub_calls = DataflowConfig::default();
+        for (&addr, &role) in &roles {
+            if role == StubRole::SaveRet {
+                stub_calls.transparent_calls.insert(addr);
+            } else if role.is_store_check() {
+                stub_calls.pointer_clobber_calls.insert(addr);
+            }
+        }
         CfgVerifier {
             config: VerifierConfig::for_runtime(rt),
-            roles: rt.stub_roles().into_iter().collect(),
+            roles,
             safe_stack_capacity: l.safe_stack_limit - l.safe_stack_base,
+            stub_calls,
         }
+    }
+
+    /// The process-wide verifier for the run-time
+    /// [`SfiRuntime::shared`]`(layout, origin)`: built on first use and
+    /// shared afterwards, like the run-time itself.
+    pub fn shared(layout: SfiLayout, origin: u32) -> Arc<CfgVerifier> {
+        static VERIFIERS: LayoutMemo<CfgVerifier> = LayoutMemo::new();
+        VERIFIERS.get_or_build(layout, origin, || {
+            CfgVerifier::for_runtime(&SfiRuntime::shared(layout, origin))
+        })
     }
 
     /// Total bytes in the safe-stack region of the layout this verifier
@@ -146,6 +184,18 @@ impl CfgVerifier {
         self.roles.iter().find(|&(_, r)| *r == role).map(|(&a, _)| a)
     }
 
+    /// Reconstructs the CFG of a rewritten image with this verifier's stub
+    /// knowledge (see [`Cfg::build`]). The CFG does not depend on
+    /// [`CfgVerifier::allowing_raw_stores`], so one CFG serves both.
+    ///
+    /// # Errors
+    ///
+    /// Only the decode-level errors from [`Cfg::build`] — the ones the
+    /// linear scan's first pass reports, in the same order.
+    pub fn cfg(&self, words: &[u16], origin: u32, entries: &[u32]) -> Result<Cfg, VerifyError> {
+        Cfg::build(words, origin, entries, &self.config)
+    }
+
     /// Verifies a module image at word address `origin` with declared
     /// entry points `entries` (word addresses inside the image; pass the
     /// translated entries the loader registers in the jump table, or an
@@ -157,11 +207,25 @@ impl CfgVerifier {
     /// flow-sensitive classes ([`VerifyError::StoreCheckBypass`],
     /// [`VerifyError::MissingSaveRetPrologue`], [`VerifyError::FallsOffEnd`]).
     pub fn verify(&self, words: &[u16], origin: u32, entries: &[u32]) -> Result<(), VerifyError> {
+        let cfg = self.cfg(words, origin, entries)?;
+        self.verify_cfg(words, entries, &cfg)
+    }
+
+    /// [`CfgVerifier::verify`] over `cfg`, which must be
+    /// [`CfgVerifier::cfg`]`(words, origin, entries)`.
+    ///
+    /// The linear scan runs first, so every binary it rejects is rejected
+    /// with the identical error; building the CFG first changes no result,
+    /// because its only errors are the scan's own first-pass errors.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CfgVerifier::verify`].
+    pub fn verify_cfg(&self, words: &[u16], entries: &[u32], cfg: &Cfg) -> Result<(), VerifyError> {
         // Phase 1: the linear scan. Anything it rejects, we reject — with
         // the identical error.
-        harbor_sfi::verify(words, origin, &self.config)?;
-        let cfg = Cfg::build(words, origin, entries, &self.config)?;
-        self.deep_checks(&cfg, entries)
+        harbor_sfi::verify(words, cfg.origin, &self.config)?;
+        self.deep_checks(cfg, entries)
     }
 
     /// Runs the full pipeline — linear scan, deep checks, stack
@@ -177,9 +241,8 @@ impl CfgVerifier {
         origin: u32,
         entries: &[u32],
     ) -> Result<ModuleAnalysis, VerifyError> {
-        harbor_sfi::verify(words, origin, &self.config)?;
-        let cfg = Cfg::build(words, origin, entries, &self.config)?;
-        self.deep_checks(&cfg, entries)?;
+        let cfg = self.cfg(words, origin, entries)?;
+        self.verify_cfg(words, entries, &cfg)?;
         let certificate = certify(&cfg, self);
         let lints = lint(&cfg, self);
         Ok(ModuleAnalysis { cfg, certificate, lints })
@@ -198,8 +261,7 @@ impl CfgVerifier {
         origin: u32,
         entries: &[u32],
     ) -> Result<StackCertificate, VerifyError> {
-        let cfg = Cfg::build(words, origin, entries, &self.config)?;
-        Ok(certify(&cfg, self))
+        Ok(certify(&self.cfg(words, origin, entries)?, self))
     }
 
     /// Derives the [`crate::dataflow::StoreCertificate`] of a *rewritten*
@@ -221,17 +283,14 @@ impl CfgVerifier {
         entries: &[u32],
         seg_base: u16,
         seg_len: u16,
-    ) -> Result<crate::dataflow::StoreCertificate, VerifyError> {
-        let cfg = Cfg::build(words, origin, entries, &self.config)?;
-        let mut dc = crate::dataflow::DataflowConfig::for_segment(seg_base, seg_len);
-        for (&addr, &role) in &self.roles {
-            if role == StubRole::SaveRet {
-                dc.transparent_calls.insert(addr);
-            } else if role.is_store_check() {
-                dc.pointer_clobber_calls.insert(addr);
-            }
-        }
-        Ok(crate::dataflow::certify_stores(&cfg, &dc))
+    ) -> Result<StoreCertificate, VerifyError> {
+        Ok(self.certify_cfg_stores(&self.cfg(words, origin, entries)?, seg_base, seg_len))
+    }
+
+    /// [`CfgVerifier::certify_stores`] over an already reconstructed CFG.
+    pub fn certify_cfg_stores(&self, cfg: &Cfg, seg_base: u16, seg_len: u16) -> StoreCertificate {
+        let dc = DataflowConfig { seg_base, seg_len, ..self.stub_calls.clone() };
+        crate::dataflow::certify_stores(cfg, &dc)
     }
 
     /// Phase 2: the flow-sensitive properties, over reachable code only

@@ -7,13 +7,17 @@
 //! rounds. Under SFI the fleet's [`LoadPolicy`] is also rehearsed
 //! host-side, mirroring exactly what every node's loader will enforce:
 //! an image the policy would reject on-node never enters the ladder.
+//!
+//! Admission is one pass: the verifier comes from the process-wide memo
+//! ([`CfgVerifier::shared`]), and each image's CFG is reconstructed once
+//! and shared by the store certificate, the policy's store gate, the
+//! linear and deep checks and the stack certificate.
 
 use std::fmt;
 
 use harbor_fleet::ModuleImage;
 use harbor_flow::{certify_module_stores, CfgVerifier};
-use harbor_sfi::SfiRuntime;
-use mini_sos::loader::check_policy;
+use mini_sos::loader::check_policy_cfg;
 use mini_sos::{LoadPolicy, Protection, SosLayout};
 
 /// Evidence that an image cleared the admission gate.
@@ -73,22 +77,24 @@ pub fn verify_image(
     // SFI wire images were rewritten at assembly; their stores must be
     // certified by the stub-role-aware verifier. Plain images use the
     // raw admission pass.
+    let (words, entries) = (&image.words, &image.entry_addrs);
+    let unverifiable = |e: harbor_sfi::VerifyError| AdmitError::Unverifiable(e.to_string());
     let cert = match protection {
         Protection::Sfi => {
-            let rt = SfiRuntime::build(layout.prot, layout.runtime_origin);
-            CfgVerifier::for_runtime(&rt)
-                .certify_stores(&image.words, image.origin, &image.entry_addrs, seg.0, seg.1)
-                .map_err(|e| AdmitError::Unverifiable(e.to_string()))?
+            let verifier = CfgVerifier::shared(layout.prot, layout.runtime_origin);
+            let cfg = verifier.cfg(words, image.origin, entries).map_err(unverifiable)?;
+            let cert = verifier.certify_cfg_stores(&cfg, seg.0, seg.1);
+            if let Some(policy) = policy {
+                check_policy_cfg(&policy, &image.name, words, entries, &cfg, &verifier, || {
+                    cert.clone()
+                })
+                .map_err(|e| AdmitError::Policy(e.to_string()))?;
+            }
+            cert
         }
-        _ => certify_module_stores(&image.words, image.origin, &image.entry_addrs, seg.0, seg.1)
-            .map_err(|e| AdmitError::Unverifiable(e.to_string()))?,
+        _ => certify_module_stores(words, image.origin, entries, seg.0, seg.1)
+            .map_err(unverifiable)?,
     };
-    if let (Some(policy), Protection::Sfi) = (policy, protection) {
-        let rt = SfiRuntime::build(layout.prot, layout.runtime_origin);
-        let name: &'static str = Box::leak(image.name.clone().into_boxed_str());
-        check_policy(&policy, name, &image.words, image.origin, &image.entry_addrs, &rt, seg)
-            .map_err(|e| AdmitError::Policy(e.to_string()))?;
-    }
     Ok(Admission {
         digest: cert.digest,
         certified_stores: cert.certified_stores,
@@ -131,6 +137,17 @@ mod tests {
         let policy = LoadPolicy::with_allotment(u16::MAX);
         let adm = verify_image(&image, &layout, Protection::Sfi, Some(policy));
         assert!(adm.is_ok(), "tree_routing clears the default policy: {adm:?}");
+    }
+
+    #[test]
+    fn policy_refusal_names_the_module() {
+        let layout = SosLayout::default_layout();
+        let image = assemble(&modules::tree_routing(1), Protection::Sfi);
+        let policy = LoadPolicy::with_allotment(1);
+        let err = verify_image(&image, &layout, Protection::Sfi, Some(policy))
+            .expect_err("no module fits a one-byte safe-stack allotment");
+        assert!(matches!(err, AdmitError::Policy(_)), "{err:?}");
+        assert!(err.to_string().contains("module `tree_routing`"), "{err}");
     }
 
     #[test]

@@ -31,11 +31,13 @@
 #![warn(missing_docs)]
 
 mod layout;
+mod memo;
 pub mod rewriter;
 mod runtime;
 pub mod verifier;
 
 pub use layout::SfiLayout;
+pub use memo::LayoutMemo;
 pub use rewriter::{rewrite, rewrite_with_elision, RewriteError, RewrittenModule};
 pub use runtime::{store_stub_name, SfiRuntime, StubRole, STUB_TABLE};
 pub use verifier::{raw_stores, verify, verify_constant_memory, VerifierConfig, VerifyError};

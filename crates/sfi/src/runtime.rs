@@ -13,11 +13,13 @@
 //! program points.
 
 use crate::layout::SfiLayout;
+use crate::memo::LayoutMemo;
 use avr_asm::{Asm, Label, Object};
 use avr_core::isa::{flags, IwPair, Ptr, PtrMode, Reg};
 use avr_core::mem::{DataMem, Flash, PORT_PANIC, RAMEND};
 use harbor::{fault_code, DomainId, MemMapConfig, MemoryMap, ProtectionFault};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const R0: Reg = Reg::R0;
 const R1: Reg = Reg::R1;
@@ -70,6 +72,15 @@ impl SfiRuntime {
         let object = a.assemble(origin).expect("runtime assembles");
         let stubs = STUB_TABLE.iter().map(|&(n, _)| (n, object.require(n))).collect();
         SfiRuntime { layout, object, stubs }
+    }
+
+    /// The process-wide run-time for `(layout, origin)`: built by
+    /// [`SfiRuntime::build`] on first use and shared afterwards. The
+    /// generator is deterministic, so the shared value is identical to a
+    /// fresh build.
+    pub fn shared(layout: SfiLayout, origin: u32) -> Arc<SfiRuntime> {
+        static RUNTIMES: LayoutMemo<SfiRuntime> = LayoutMemo::new();
+        RUNTIMES.get_or_build(layout, origin, || SfiRuntime::build(layout, origin))
     }
 
     /// The layout the run-time was generated for.

@@ -8,8 +8,9 @@ use crate::system::Protection;
 use avr_asm::{Asm, Object};
 use avr_core::isa::{self, Instr};
 use harbor::DomainId;
-use harbor_flow::CfgVerifier;
-use harbor_sfi::{rewrite_with_elision, verify, SfiRuntime, VerifierConfig};
+use harbor_flow::{Cfg, CfgVerifier, StoreCertificate};
+use harbor_sfi::{rewrite_with_elision, verify, SfiRuntime, VerifierConfig, VerifyError};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Build-time context handed to module source code.
@@ -144,7 +145,7 @@ pub enum LoadError {
     /// analysis found no finite bound at all).
     StackBound {
         /// Module name.
-        name: &'static str,
+        name: String,
         /// Certified safe-stack bytes.
         certified: u16,
         /// The policy's allotment.
@@ -187,6 +188,10 @@ impl std::error::Error for LoadError {}
 /// [`harbor_sfi::VerifyError::RawStore`], so correctness never depends on
 /// whoever produced (or rewrote) the image.
 ///
+/// The verifier for `rt`'s layout comes from the process-wide memo
+/// ([`CfgVerifier::shared`]); the image's CFG is reconstructed once and
+/// [`check_policy_cfg`] runs over it.
+///
 /// # Errors
 ///
 /// [`LoadError::Verify`] from the deep verifier or the store gate, or
@@ -194,36 +199,75 @@ impl std::error::Error for LoadError {}
 /// (or is saturated).
 pub fn check_policy(
     policy: &LoadPolicy,
-    name: &'static str,
+    name: &str,
     words: &[u16],
     origin: u32,
     entries: &[u32],
     rt: &SfiRuntime,
     state_seg: (u16, u16),
 ) -> Result<(), LoadError> {
-    let mut verifier = CfgVerifier::for_runtime(rt);
-    let raw = harbor_sfi::raw_stores(words, origin, verifier.config());
-    if !raw.is_empty() {
-        if !policy.elide_certified {
-            return Err(LoadError::Verify(harbor_sfi::VerifyError::RawStore { addr: raw[0] }));
-        }
-        let derived = verifier
-            .certify_stores(words, origin, entries, state_seg.0, state_seg.1)
-            .map_err(LoadError::Verify)?;
-        for &addr in &raw {
-            if !derived.certified(addr) {
-                return Err(LoadError::Verify(harbor_sfi::VerifyError::RawStore { addr }));
+    let verifier = &*CfgVerifier::shared(*rt.layout(), rt.object().origin());
+    let cfg = verifier.cfg(words, origin, entries).map_err(|e| {
+        // An image that does not decode is still refused for a raw store
+        // ahead of the undecodable word first when elision is off.
+        match harbor_sfi::raw_stores(words, origin, verifier.config()).first() {
+            Some(&addr) if !policy.elide_certified => {
+                LoadError::Verify(VerifyError::RawStore { addr })
             }
+            _ => LoadError::Verify(e),
         }
-        verifier = verifier.allowing_raw_stores(raw.into_iter().collect());
+    })?;
+    let stores = || verifier.certify_cfg_stores(&cfg, state_seg.0, state_seg.1);
+    check_policy_cfg(policy, name, words, entries, &cfg, verifier, stores)
+}
+
+/// [`check_policy`] over `cfg`, which must be
+/// [`CfgVerifier::cfg`]`(words, origin, entries)`: the store gate, the
+/// deep verifier and the stack certificate all run over this one CFG.
+/// `stores` yields the image's store certificate against its state segment
+/// ([`CfgVerifier::certify_cfg_stores`] on `cfg`); it is called only when
+/// the image has raw stores and the policy allows them.
+///
+/// # Errors
+///
+/// Same as [`check_policy`].
+pub fn check_policy_cfg(
+    policy: &LoadPolicy,
+    name: &str,
+    words: &[u16],
+    entries: &[u32],
+    cfg: &Cfg,
+    verifier: &CfgVerifier,
+    stores: impl FnOnce() -> StoreCertificate,
+) -> Result<(), LoadError> {
+    // The CFG decoded every word, so its store slots are exactly
+    // `harbor_sfi::raw_stores`.
+    let raw: BTreeSet<u32> = cfg
+        .slots
+        .iter()
+        .filter(|s| matches!(s.instr, Instr::St { .. } | Instr::Std { .. } | Instr::Sts { .. }))
+        .map(|s| s.addr)
+        .collect();
+    let allowed;
+    let mut verifier = verifier;
+    if let Some(&first) = raw.first() {
+        if !policy.elide_certified {
+            return Err(LoadError::Verify(VerifyError::RawStore { addr: first }));
+        }
+        let stores = stores();
+        if let Some(&addr) = raw.iter().find(|&&addr| !stores.certified(addr)) {
+            return Err(LoadError::Verify(VerifyError::RawStore { addr }));
+        }
+        allowed = verifier.clone().allowing_raw_stores(raw);
+        verifier = &allowed;
     }
     if policy.deep_verify {
-        verifier.verify(words, origin, entries).map_err(LoadError::Verify)?;
+        verifier.verify_cfg(words, entries, cfg).map_err(LoadError::Verify)?;
     }
-    let cert = verifier.certify(words, origin, entries).map_err(LoadError::Verify)?;
+    let cert = harbor_flow::certify(cfg, verifier);
     if cert.saturated || cert.safe_stack_bytes > policy.safe_stack_allotment {
         return Err(LoadError::StackBound {
-            name,
+            name: name.to_string(),
             certified: cert.safe_stack_bytes,
             allotment: policy.safe_stack_allotment,
         });

@@ -17,6 +17,7 @@ use harbor_scope::{
 };
 use harbor_sfi::SfiRuntime;
 use harbor_turbo::{TurboEngine, TurboStats};
+use std::sync::Arc;
 use umpu::UmpuEnv;
 
 /// One protection fault the system observed, in the uniform
@@ -67,8 +68,9 @@ pub struct SosSystem {
     pub layout: SosLayout,
     /// The kernel image (for symbol lookups).
     pub kernel: KernelImage,
-    /// The SFI run-time (SFI builds).
-    pub runtime: Option<SfiRuntime>,
+    /// The SFI run-time (SFI builds), shared process-wide per layout (see
+    /// [`SfiRuntime::shared`]).
+    pub runtime: Option<Arc<SfiRuntime>>,
     /// The loaded modules.
     pub modules: Vec<LoadedModule>,
     mach: Mach,
@@ -136,7 +138,7 @@ impl SosSystem {
         app: impl FnOnce(&mut Asm, &KernelApi),
     ) -> Result<SosSystem, LoadError> {
         let runtime = match protection {
-            Protection::Sfi => Some(SfiRuntime::build(layout.prot, layout.runtime_origin)),
+            Protection::Sfi => Some(SfiRuntime::shared(layout.prot, layout.runtime_origin)),
             _ => None,
         };
         let stubs =
@@ -146,7 +148,7 @@ impl SosSystem {
 
         let modules: Vec<LoadedModule> = sources
             .iter()
-            .map(|s| load_module(s, &layout, protection, runtime.as_ref()))
+            .map(|s| load_module(s, &layout, protection, runtime.as_deref()))
             .collect::<Result<_, _>>()?;
 
         let kernel_api = [
@@ -515,7 +517,7 @@ impl SosSystem {
             src,
             &self.layout,
             self.protection,
-            self.runtime.as_ref(),
+            self.runtime.as_deref(),
             self.load_policy.as_ref(),
         )?;
         self.install_module(loaded);

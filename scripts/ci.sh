@@ -85,4 +85,13 @@ echo "== harbor-helm --check (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg)"
 # must reach the same decisions no matter which engine steps the nodes.
 HARBOR_TURBO=1 HARBOR_PROVE=1 cargo run -q --release -p harbor-helm --bin harbor-helm -- --check
 
+echo "== harbor_benchmark tests and default-seed pins"
+# The benchmark is its own package (outside the workspace), so the steps
+# above never build it. Its tests run at tiny sizes; `--seconds 0` runs
+# episode 0 of all four workloads and exits non-zero on any pin mismatch
+# (the `admit_verify` outcome pin covers every admission verdict,
+# certificate digest and refusal string of its 16,384 images).
+cargo test --manifest-path harbor_benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path harbor_benchmark/Cargo.toml -- --seconds 0
+
 echo "== ci: all green"
