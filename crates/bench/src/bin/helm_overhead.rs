@@ -144,12 +144,11 @@ fn campaign(nodes: usize, seed: u64) -> CampaignStats {
         let fleet = run.fleet_mut();
         fleet.post_all(DomainId::num(0), MSG_TIMER);
         for i in 0..fleet.len() {
-            let (g, b) = fleet.with_node(i, |n| {
-                (
-                    good.is_some_and(|id| n.has_installed(id)),
-                    bad.is_some_and(|id| n.has_installed(id)),
-                )
-            });
+            let n = fleet.node(i);
+            let (g, b) = (
+                good.is_some_and(|id| n.has_installed(id)),
+                bad.is_some_and(|id| n.has_installed(id)),
+            );
             if g {
                 fleet.post(i, DomainId::num(3), MSG_TIMER);
             }

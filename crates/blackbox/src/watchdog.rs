@@ -194,6 +194,16 @@ impl Watchdog {
     pub fn alerts(&self) -> &[Alert] {
         &self.raised
     }
+
+    /// Whether every detector's window sums to zero. A quiet watchdog fed
+    /// unchanged totals takes the idle fast path in all three detectors
+    /// and stays exactly as it was, so a caller whose totals cannot have
+    /// moved may skip the call. A watchdog that is not quiet must still be
+    /// fed every round: its windows roll down one round at a time, and
+    /// that timing decides when a detector re-arms.
+    pub fn is_quiet(&self) -> bool {
+        self.faults.sum == 0 && self.retransmits.sum == 0 && self.ring_drops.sum == 0
+    }
 }
 
 #[cfg(test)]
@@ -271,6 +281,49 @@ mod tests {
             kinds,
             vec![AlertKind::FaultRate, AlertKind::RetransmitRate, AlertKind::RingDropRate]
         );
+    }
+
+    #[test]
+    fn fresh_watchdog_is_quiet() {
+        assert!(Watchdog::new(0, WatchdogConfig::default()).is_quiet());
+    }
+
+    #[test]
+    fn fault_keeps_it_loud_for_exactly_one_window() {
+        let cfg = WatchdogConfig::default();
+        let mut w = Watchdog::new(3, cfg);
+        w.observe(0, 1, 0, 0);
+        assert!(!w.is_quiet());
+        // The fault's delta fills one of the window's `window` slots, so it
+        // survives `window - 1` unchanged observations and rolls out on
+        // the next one.
+        for round in 1..cfg.window as u64 {
+            w.observe(round, 1, 0, 0);
+            assert!(!w.is_quiet(), "quiet too early, after round {round}");
+        }
+        w.observe(cfg.window as u64, 1, 0, 0);
+        assert!(w.is_quiet());
+    }
+
+    #[test]
+    fn quiet_observe_of_unchanged_totals_changes_nothing() {
+        // The lemma behind skipping idle fleet nodes: feeding a quiet
+        // watchdog the totals it already holds is a no-op, whatever
+        // happened before it went quiet.
+        let cfg =
+            WatchdogConfig { window: 3, max_faults: 0, max_retransmits: 0, max_ring_drops: 0 };
+        let mut w = Watchdog::new(9, cfg);
+        assert_eq!(w.observe(0, 2, 5, 7).len(), 3);
+        let mut round = 1;
+        while !w.is_quiet() {
+            w.observe(round, 2, 5, 7);
+            round += 1;
+        }
+        let quiet = w.clone();
+        for r in round..round + 20 {
+            assert!(w.observe(r, 2, 5, 7).is_empty());
+            assert_eq!(w, quiet, "round {r}");
+        }
     }
 
     #[test]

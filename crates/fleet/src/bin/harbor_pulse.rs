@@ -24,7 +24,10 @@
 //! host-side census of pending work, round by round; (3) the scripted
 //! quiescing dissemination at 512 nodes reports ≥ 90% idle over the
 //! post-quiescence window, with the ledger's inbox count reconciling
-//! exactly against radio deliveries; (4) pulse is free when disabled and
+//! exactly against radio deliveries; (2) and (3) also gate the
+//! event-driven core — in every census and window round the workers
+//! stepped exactly the nodes that had work, so no idle node-step ran at
+//! any thread count; (4) pulse is free when disabled and
 //! invisible when enabled — serial, parallel, pulse-on and pulse-off runs
 //! of one seed produce byte-identical fleet telemetry, and serial and
 //! parallel ledgers match byte for byte. Exits non-zero on any violation.
@@ -191,8 +194,7 @@ fn run_demo(nodes: usize) -> ExitCode {
     // projected onto the cycle frontier), and host pids start at
     // 1,000,000 so the tracks never collide.
     let host_doc = harbor_pulse::chrome_trace(&report);
-    let guest_events =
-        fleet.with_node(0, |n| n.sys.scope().map(|s| s.events()).unwrap_or_default());
+    let guest_events = fleet.node(0).sys.scope().map(|s| s.events()).unwrap_or_default();
     let guest_doc = harbor_scope::export::chrome_trace(&guest_events);
     let merged = harbor_scope::export::merge_chrome_traces(&[&host_doc, &guest_doc]);
     std::fs::write(out_dir.join("pulse_trace.json"), merged).expect("write trace");
@@ -223,9 +225,8 @@ fn run_checks() -> ExitCode {
             if round == 0 || round == 3 {
                 fleet.post_all(DomainId::num(0), MSG_TIMER);
             }
-            let busy = (0..fleet.len())
-                .filter(|&i| fleet.with_node(i, |n| n.pending_work().any()))
-                .count() as u64;
+            let busy =
+                (0..fleet.len()).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
             census.push(busy);
             fleet.step_round();
         }
@@ -238,6 +239,9 @@ fn run_checks() -> ExitCode {
                     r.round,
                     l.to_json()
                 ));
+            }
+            if let Some(msg) = idle_steps(r) {
+                fail(format!("census ({threads} threads) {msg}"));
             }
         }
         if report.ledger.stepped != 8 * 64 {
@@ -282,6 +286,9 @@ fn run_checks() -> ExitCode {
     }
     if win.ota != 0 || win.queue != 0 || win.busy != win.inbox {
         fail(format!("window has phantom pending work: {}", win.to_json()));
+    }
+    for msg in records.iter().filter_map(|r| idle_steps(r)) {
+        fail(format!("window {msg}"));
     }
     if delivered == 0 {
         fail("window saw no re-advert deliveries; the idle gate proved nothing".to_string());
@@ -344,6 +351,15 @@ fn run_checks() -> ExitCode {
         eprintln!("harbor-pulse --check: {} failure(s)", failures.get());
         ExitCode::FAILURE
     }
+}
+
+/// The event-driven core's promise for one round: its workers stepped
+/// exactly the nodes that had pending work. `None` when it holds.
+fn idle_steps(r: &RoundRecord) -> Option<String> {
+    let stepped: u64 = r.workers.iter().map(|w| w.nodes).sum();
+    (stepped != r.ledger.busy).then(|| {
+        format!("round {}: {stepped} nodes stepped but {} had work", r.round, r.ledger.busy)
+    })
 }
 
 /// (1) Timer reconciliation on one report; returns the violation count.

@@ -192,8 +192,8 @@ fn run_trace(id: &str) -> ExitCode {
 
 /// Sum of a counter over every node's `SosSystem` (lifecycle counters do
 /// not appear in `NodeTelemetry`, so reconciliation reads them directly).
-fn sys_total(fleet: &mut Fleet, f: impl Fn(&mini_sos::SosSystem) -> u64) -> u64 {
-    (0..fleet.len()).map(|i| fleet.with_node(i, |n| f(&n.sys))).sum()
+fn sys_total(fleet: &Fleet, f: impl Fn(&mini_sos::SosSystem) -> u64) -> u64 {
+    (0..fleet.len()).map(|i| f(&fleet.node(i).sys)).sum()
 }
 
 fn run_checks() -> ExitCode {
@@ -242,7 +242,7 @@ fn run_checks() -> ExitCode {
         }
     }
     let elided_metric = prove_fleet.telemetry().merged_metrics().counter("umpu.stores_elided");
-    let elided_sys = sys_total(&mut prove_fleet, mini_sos::SosSystem::stores_elided);
+    let elided_sys = sys_total(&prove_fleet, mini_sos::SosSystem::stores_elided);
     if prove_totals.stores_elided != elided_metric || elided_metric != elided_sys {
         fail(format!(
             "stores_elided disagrees: rollup {} metric {elided_metric} env {elided_sys}",

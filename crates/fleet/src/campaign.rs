@@ -193,7 +193,7 @@ pub fn run_campaign(protection: Protection, cfg: &CampaignConfig) -> CampaignRep
             node.sys.load_module(&rogue_src(v)).expect("rogue loads");
             node.post(DomainId::num(ROGUE_DOM), MSG_TIMER);
         });
-        blink_before.push(fleet.with_node(v, |node| node.sys.sram(blink_state)));
+        blink_before.push(fleet.node(v).sys.sram(blink_state));
     }
 
     // Aftermath: keep the healthy workload running.
@@ -207,8 +207,8 @@ pub fn run_campaign(protection: Protection, cfg: &CampaignConfig) -> CampaignRep
     let mut corrupted = 0;
     let mut recovered = 0;
     for (i, &v) in victims.iter().enumerate() {
-        let (tree, blink) =
-            fleet.with_node(v, |node| (node.sys.sram(tree_state), node.sys.sram(blink_state)));
+        let node = fleet.node(v);
+        let (tree, blink) = (node.sys.sram(tree_state), node.sys.sram(blink_state));
         if tree == POISON {
             corrupted += 1;
         } else {
@@ -220,7 +220,7 @@ pub fn run_campaign(protection: Protection, cfg: &CampaignConfig) -> CampaignRep
     }
     let mut bystanders_corrupted = 0;
     for n in 0..fleet.len() {
-        if !victims.contains(&n) && fleet.with_node(n, |node| node.sys.sram(tree_state)) == POISON {
+        if !victims.contains(&n) && fleet.node(n).sys.sram(tree_state) == POISON {
             bystanders_corrupted += 1;
         }
     }

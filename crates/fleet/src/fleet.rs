@@ -1,18 +1,25 @@
-//! Round-based parallel stepping of a whole fleet of nodes.
+//! Event-driven, round-based stepping of a whole fleet of nodes.
 //!
-//! Each round has three phases:
+//! Each round has three phases, then feeds the tower if one is attached:
 //!
 //! 1. **deliver** (serial): packets due this round move from the radio to
 //!    node inboxes and the seeder; the seeder answers retransmission
 //!    requests and re-advertises. All radio RNG draws happen here, in a
 //!    fixed order.
-//! 2. **step** (parallel): every node consumes its inbox and runs its CPU.
-//!    Nodes touch only their own state, so the phase is embarrassingly
-//!    parallel — worker threads grab batches of nodes from a shared cursor
-//!    (dynamic work stealing), and a `threads = 1` run visits the same
-//!    nodes in the same per-node order.
-//! 3. **collect** (serial): node outboxes drain onto the radio in node-id
-//!    order.
+//! 2. **step**: every node in the *wake set* consumes its inbox and runs
+//!    its CPU. Nodes touch only their own state, so one loop serves every
+//!    schedule: workers take batches of disjoint `&mut` node borrows from
+//!    one shared cursor, one worker per batch up to the thread cap. One
+//!    worker runs on the calling thread; a round with nothing awake does
+//!    no work at all.
+//! 3. **collect** (serial): the stepped nodes' outboxes drain onto the
+//!    radio in node-id order. No other node can have an outbox.
+//!
+//! Every node starts awake, since none has yet copied its booted machine's
+//! counters into its telemetry. A packet, a post, [`Fleet::with_node`] or
+//! a rollback wakes a node; a step that leaves it no pending work and a
+//! quiet watchdog puts it to sleep. Skipping a sleeping node changes no
+//! byte: its step would do nothing (see `node.rs`).
 //!
 //! Because every RNG is owned (radio, per-node) and consumed in a
 //! schedule-independent order, serial and parallel runs of one seed produce
@@ -32,11 +39,10 @@ use harbor_tower::{FleetRollup, Tower, TowerConfig};
 use mini_sos::loader::{LoadError, ModuleSource};
 use mini_sos::{Protection, SosLayout, SosSystem};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Nodes a worker claims per grab of the shared cursor.
+/// Awake nodes a worker claims per grab of the shared cursor.
 const BATCH: usize = 4;
 
 /// Rounds between seeder re-adverts.
@@ -58,7 +64,8 @@ pub struct FleetConfig {
     pub net: NetConfig,
     /// Cycle budget per node per round.
     pub cycle_budget: u64,
-    /// Worker threads for the step phase; `0` = one per available core.
+    /// Most worker threads the step phase uses; `0` = one per available
+    /// core. A round starts one worker per four awake nodes, up to this.
     pub threads: usize,
     /// Dissemination chunk payload size in bytes.
     pub chunk_bytes: usize,
@@ -106,8 +113,9 @@ pub struct FleetConfig {
     /// served by [`Fleet::pulse_report`]. Strictly observational — pulse
     /// reads node state and the host clock and never touches a machine,
     /// an RNG or the telemetry JSON (regression-tested in
-    /// `tests/fleet_pulse.rs`) — and when `false` the step path is the
-    /// exact uninstrumented loop, not a timer that discards its reads.
+    /// `tests/fleet_pulse.rs`). It rides the one step loop, counting every
+    /// node the wake set skipped as idle; when `false` that loop reads no
+    /// clock.
     pub pulse: bool,
 }
 
@@ -235,7 +243,9 @@ pub struct Fleet {
     cfg: FleetConfig,
     threads: usize,
     layout: SosLayout,
-    nodes: Vec<Mutex<Node>>,
+    nodes: Vec<Node>,
+    // The nodes the next step phase visits (see the module docs).
+    wake: WakeSet,
     radio: Radio,
     seeder: Option<Seeder>,
     // Causal identity (clock, log, sequence counter) of a seeder retired
@@ -252,20 +262,84 @@ pub struct Fleet {
     round: u64,
 }
 
+/// A set of node ids, one bit each.
+#[derive(Debug)]
+struct WakeSet(Vec<u64>);
+
+impl WakeSet {
+    /// Every id below `n`.
+    fn full(n: usize) -> WakeSet {
+        WakeSet((0..n.div_ceil(64)).map(|w| u64::MAX >> (64 - (n - 64 * w).min(64))).collect())
+    }
+
+    fn insert(&mut self, id: usize) {
+        self.0[id / 64] |= 1 << (id % 64);
+    }
+
+    fn remove(&mut self, id: usize) {
+        self.0[id / 64] &= !(1 << (id % 64));
+    }
+
+    /// The members, ascending, in a vector sized to hold exactly them.
+    /// Empty words cost one test each.
+    fn members(&self) -> Vec<usize> {
+        let mut ids = Vec::with_capacity(self.0.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &bits) in self.0.iter().enumerate().filter(|&(_, &bits)| bits != 0) {
+            ids.extend((0..64).filter(|b| bits >> b & 1 == 1).map(|b| 64 * w + b));
+        }
+        ids
+    }
+}
+
 /// Marks a phase boundary on the chained lap clock: returns the
 /// nanoseconds since the previous boundary and advances the chain. The
 /// laps partition one interval on the monotonic clock, so their sum can
 /// never exceed a stopwatch started before the chain and read after it.
 fn lap(chain: &mut Option<Instant>) -> u64 {
-    match chain {
-        Some(prev) => {
-            let now = Instant::now();
-            let ns = now.duration_since(*prev).as_nanos() as u64;
-            *chain = Some(now);
-            ns
+    chain.as_mut().map_or(0, |prev| {
+        let now = Instant::now();
+        now.duration_since(std::mem::replace(prev, now)).as_nanos() as u64
+    })
+}
+
+/// One worker of the step phase: steps batches from `grab` until it runs
+/// dry, recording each node's stay-awake rule beside it right after its
+/// step, while the node is still in cache (and, with `classify`, filing it
+/// in the ledger just before). Given the phase `anchor`, it times itself
+/// with one clock pair per batch: busy time, first grab to last batch
+/// done, and exit. Returns its stats and its share of the ledger.
+fn drain<'b, 'n: 'b>(
+    mut grab: impl FnMut() -> Option<&'b mut [(&'n mut Node, bool)]>,
+    (round, budget): (u64, u64),
+    classify: bool,
+    anchor: Option<Instant>,
+) -> (WorkerStat, RoundLedger) {
+    let (mut stat, mut ledger) = (WorkerStat::default(), RoundLedger::default());
+    let (mut first_grab, mut last_done) = (None, 0u64);
+    while let Some(batch) = grab() {
+        let t0 = anchor.map(|a| (a, Instant::now()));
+        for (node, stays_awake) in batch.iter_mut() {
+            if classify {
+                ledger.observe(node.pending_work());
+            }
+            node.step(round, budget);
+            *stays_awake = node.stays_awake();
         }
-        None => 0,
+        stat.nodes += batch.len() as u64;
+        if let Some((a, t0)) = t0 {
+            first_grab.get_or_insert(t0.duration_since(a).as_nanos() as u64);
+            stat.busy_ns += t0.elapsed().as_nanos() as u64;
+            last_done = a.elapsed().as_nanos() as u64;
+        }
     }
+    if let Some(a) = anchor {
+        // Batch busy intervals are disjoint sub-intervals of [first_grab,
+        // last_done], so busy <= span; the exit stamp comes last, so
+        // span <= finish.
+        stat.span_ns = last_done.saturating_sub(first_grab.unwrap_or(last_done));
+        stat.finish_ns = a.elapsed().as_nanos() as u64;
+    }
+    (stat, ledger)
 }
 
 impl Fleet {
@@ -321,7 +395,7 @@ impl Fleet {
                     node.recorder = Some(recorder);
                     node.watchdog = Some(Watchdog::new(i as u32, bb.watchdog));
                 }
-                Mutex::new(node)
+                node
             })
             .collect();
         let threads = match cfg.threads {
@@ -333,6 +407,7 @@ impl Fleet {
             threads,
             layout,
             nodes,
+            wake: WakeSet::full(cfg.nodes),
             radio: Radio::new(cfg.seed, cfg.nodes as u32, cfg.net),
             seeder: None,
             retired_seeder: None,
@@ -436,8 +511,7 @@ impl Fleet {
     pub fn begin_rollout(&mut self, image: &ModuleImage, cohorts: &[u32]) -> u16 {
         let id = self.disseminate(image);
         self.rollouts.insert(id, image.clone());
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             let eligible = cohorts.contains(&node.cohort);
             node.arm_rollout(id, eligible);
         }
@@ -453,8 +527,7 @@ impl Fleet {
     ///
     /// Panics if `id` is not a retained rollout image.
     pub fn extend_rollout(&mut self, id: u16, cohorts: &[u32]) {
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             if cohorts.contains(&node.cohort) {
                 node.arm_rollout(id, true);
             }
@@ -472,14 +545,16 @@ impl Fleet {
     /// image, every node that flashed it restores its pre-flash
     /// checkpoint (landing on the exact pre-rollout flash generation),
     /// and every node quarantines the id so still-circulating chunks are
-    /// never reassembled.
+    /// never reassembled. Every node wakes: a restored machine's counters
+    /// moved under its telemetry.
     pub fn rollback_rollout(&mut self, id: u16) {
         if self.seeder.as_ref().is_some_and(|s| s.image_id == id) {
             self.retire_seeder();
         }
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").rollback_rollout(id);
+        for node in &mut self.nodes {
+            node.rollback_rollout(id);
         }
+        self.wake = WakeSet::full(self.nodes.len());
         self.rollouts.remove(&id);
     }
 
@@ -490,8 +565,8 @@ impl Fleet {
         if self.seeder.as_ref().is_some_and(|s| s.image_id == id) {
             self.retire_seeder();
         }
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").commit_rollout(id);
+        for node in &mut self.nodes {
+            node.commit_rollout(id);
         }
         if let Some(prev) = self.known_good.replace(id) {
             if prev != id {
@@ -519,35 +594,53 @@ impl Fleet {
     /// (vacuously true with no seeder).
     pub fn converged(&self) -> bool {
         let Some(seeder) = &self.seeder else { return true };
-        self.nodes.iter().all(|n| n.lock().expect("node lock").has_installed(seeder.image_id))
+        self.nodes.iter().all(|n| n.has_installed(seeder.image_id))
     }
 
     /// Host-side message injection on one node (a local sensor event).
+    /// Wakes the node.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn post(&mut self, node: usize, dom: DomainId, msg: u8) {
-        self.nodes[node].get_mut().expect("node lock").post(dom, msg);
+        self.nodes[node].post(dom, msg);
+        self.wake.insert(node);
     }
 
-    /// Host-side message injection on every node.
+    /// Host-side message injection on every node. Wakes every node.
     pub fn post_all(&mut self, dom: DomainId, msg: u8) {
-        for n in &mut self.nodes {
-            n.get_mut().expect("node lock").post(dom, msg);
+        for node in &mut self.nodes {
+            node.post(dom, msg);
         }
+        self.wake = WakeSet::full(self.nodes.len());
     }
 
-    /// Runs `f` against one node (host-side inspection or injection).
+    /// Read-only access to one node. Unlike [`Fleet::with_node`] this never
+    /// wakes the node, so inspection leaves the next round's schedule as
+    /// it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn node(&self, node: usize) -> &Node {
+        &self.nodes[node]
+    }
+
+    /// Runs `f` against one node with `&mut` access (host-side injection,
+    /// such as loading a module and posting to it). The node wakes, since
+    /// `f` may have given it work; use [`Fleet::node`] to only look.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn with_node<R>(&mut self, node: usize, f: impl FnOnce(&mut Node) -> R) -> R {
-        f(self.nodes[node].get_mut().expect("node lock"))
+        let out = f(&mut self.nodes[node]);
+        self.wake.insert(node);
+        out
     }
 
-    /// One simulation round: deliver → step (parallel) → collect.
+    /// One simulation round: deliver → step the wake set → collect → feed.
     pub fn step_round(&mut self) {
         let round = self.round;
         // Pulse timing: a whole-round stopwatch anchored *before* the lap
@@ -558,14 +651,16 @@ impl Fleet {
         let mut chain = wall.map(|_| Instant::now());
         let mut phase_ns = [0u64; Phase::COUNT];
 
-        // Phase 1 (serial): deliveries and the seeder's transmissions.
+        // Phase 1 (serial): deliveries and the seeder's transmissions. A
+        // delivery wakes its node.
         for (dest, env) in self.radio.take_due(round) {
             if dest == SEEDER {
                 if let Some(seeder) = &mut self.seeder {
                     seeder.inbox.push(env);
                 }
             } else if let Some(node) = self.nodes.get_mut(dest as usize) {
-                node.get_mut().expect("node lock").inbox.push(env);
+                node.inbox.push(env);
+                self.wake.insert(dest as usize);
             }
         }
         if let Some(seeder) = &mut self.seeder {
@@ -573,15 +668,16 @@ impl Fleet {
         }
         phase_ns[Phase::Deliver as usize] = lap(&mut chain);
 
-        // Phase 2 (parallel): step every node.
-        let stats = self.step_nodes(round);
+        // Phase 2: step every awake node.
+        let awake = self.wake.members();
+        let stats = self.step_nodes(round, &awake);
         phase_ns[Phase::Step as usize] = lap(&mut chain);
 
         // Phase 3 (serial): collect outboxes in node-id order so the
-        // radio's RNG sees a schedule-independent draw order.
-        for node in &mut self.nodes {
-            let node = node.get_mut().expect("node lock");
-            for (to, env) in std::mem::take(&mut node.outbox) {
+        // radio's RNG sees a schedule-independent draw order. Only a
+        // stepped node can have one.
+        for &i in &awake {
+            for (to, env) in std::mem::take(&mut self.nodes[i].outbox) {
                 self.radio.send(round, to, env);
             }
         }
@@ -596,9 +692,9 @@ impl Fleet {
         }
         phase_ns[Phase::Feed as usize] = lap(&mut chain);
 
-        if let (Some(pulse), Some(wall)) = (&mut self.pulse, wall) {
+        if let (Some(pulse), Some(wall), Some(stats)) = (&mut self.pulse, wall, stats) {
             let wall_ns = wall.elapsed().as_nanos() as u64;
-            pulse.record_round(round, RoundTiming { wall_ns, phase_ns }, stats.unwrap_or_default());
+            pulse.record_round(round, RoundTiming { wall_ns, phase_ns }, stats);
         }
 
         self.round += 1;
@@ -610,8 +706,7 @@ impl Fleet {
     /// adjusts totals without counting as a node-round sample.
     fn feed_tower(&mut self, round: u64, is_round: bool) {
         let Some(tower) = &mut self.tower else { return };
-        for n in &mut self.nodes {
-            let node = n.get_mut().expect("node lock");
+        for node in &mut self.nodes {
             let sample = node.tower_sample(round, is_round);
             if is_round || !sample.deltas.is_zero() {
                 tower.ingest(&sample);
@@ -625,145 +720,67 @@ impl Fleet {
         }
     }
 
-    fn step_nodes(&mut self, round: u64) -> Option<StepStats> {
-        let budget = self.cfg.cycle_budget;
-        let workers = self.threads.min(self.nodes.len());
-        if self.pulse.is_some() {
-            return Some(self.step_nodes_pulsed(round, budget, workers));
-        }
-        if workers <= 1 {
-            for node in &mut self.nodes {
-                node.get_mut().expect("node lock").step(round, budget);
+    /// The step phase, the one loop every schedule runs: steps each node
+    /// in `awake` (ascending ids) once and puts to sleep those it left
+    /// idle. `min(threads, batches)` workers, the caller among them, take
+    /// [`BATCH`]-node batches of disjoint `&mut` borrows from one cursor.
+    ///
+    /// With pulse attached it also returns the round's [`StepStats`]. A
+    /// skipped node counts as idle: it fell asleep with no pending work
+    /// and nothing has reached it since. Its telemetry is current, so the
+    /// cycle sum and frontier read it there.
+    fn step_nodes(&mut self, round: u64, awake: &[usize]) -> Option<StepStats> {
+        let work = (round, self.cfg.cycle_budget);
+        let (mut rest, mut next) = (self.nodes.iter_mut(), 0);
+        let mut nodes: Vec<(&mut Node, bool)> = awake
+            .iter()
+            .map(|&i| {
+                let node = rest.nth(i - next).expect("awake ids ascend within the fleet");
+                next = i + 1;
+                (node, true)
+            })
+            .collect();
+        let pulse = self.pulse.is_some();
+        let anchor = pulse.then(Instant::now);
+        let workers = self.threads.min(nodes.len().div_ceil(BATCH));
+        let mut batches = nodes.chunks_mut(BATCH);
+        let shifts = match workers {
+            0 => Vec::new(),
+            // A lone worker has no barrier to time, so it takes no clocks.
+            1 => vec![drain(|| batches.next(), work, pulse, None)],
+            _ => {
+                let cursor = Mutex::new(batches);
+                let grab = || cursor.lock().expect("no worker panics holding the cursor").next();
+                std::thread::scope(|scope| {
+                    let helpers: Vec<_> = (1..workers)
+                        .map(|_| scope.spawn(move || drain(grab, work, pulse, anchor)))
+                        .collect();
+                    let mut shifts = vec![drain(grab, work, pulse, anchor)];
+                    shifts.extend(helpers.into_iter().map(|h| h.join().expect("step worker")));
+                    shifts
+                })
             }
-            return None;
-        }
-        let cursor = AtomicUsize::new(0);
-        let nodes = &self.nodes;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
-                    if start >= nodes.len() {
-                        break;
-                    }
-                    let end = (start + BATCH).min(nodes.len());
-                    for node in &nodes[start..end] {
-                        node.lock().expect("node lock").step(round, budget);
-                    }
-                });
-            }
-        });
-        None
-    }
-
-    /// The step phase with pulse probes: identical node visitation (same
-    /// batch cursor, same per-node order within a batch), plus busy
-    /// timing at the coarsest grain that still answers the question —
-    /// serial runs time the whole phase once (busy = span = finish by
-    /// definition when there is no barrier), parallel workers time one
-    /// clock read pair per [`BATCH`] nodes, not per node. That grain is
-    /// what keeps the measured overhead within the ≤3% budget
-    /// `BENCH_pulse.json` tracks. Each worker classifies every node's
-    /// [`Node::pending_work`] *before* stepping it, accumulates a
-    /// partial [`RoundLedger`] (element-wise mergeable, so the total is
-    /// schedule-independent), and reads the node's cycle counter after.
-    fn step_nodes_pulsed(&mut self, round: u64, budget: u64, workers: usize) -> StepStats {
-        // All worker times are measured from this shared phase anchor,
-        // taken after the deliver-phase lap boundary — so every worker's
-        // `finish_ns` is bounded by the step-phase lap by construction.
-        let anchor = Instant::now();
-        let step_batch = |nodes: &mut dyn Iterator<Item = &Mutex<Node>>,
-                          stat: &mut WorkerStat,
-                          ledger: &mut RoundLedger,
-                          cycles: &mut (u64, u64)| {
-            let t0 = Instant::now();
-            for node in nodes {
-                let mut node = node.lock().expect("node lock");
-                ledger.observe(node.pending_work());
-                node.step(round, budget);
-                let c = node.sys.cycles();
-                cycles.0 += c;
-                cycles.1 = cycles.1.max(c);
-                stat.nodes += 1;
-            }
-            stat.busy_ns += t0.elapsed().as_nanos() as u64;
         };
-        if workers <= 1 {
-            // One worker, no barrier: busy, span and finish are all the
-            // same interval — the whole step phase — so the serial path
-            // needs no per-batch clock reads (or locks; `get_mut` like
-            // the uninstrumented loop) to stay inside the overhead
-            // budget at small fleet sizes.
-            let mut stat = WorkerStat::default();
-            let mut ledger = RoundLedger::default();
-            let mut cycles = (0u64, 0u64);
-            for node in &mut self.nodes {
-                let node = node.get_mut().expect("node lock");
-                ledger.observe(node.pending_work());
-                node.step(round, budget);
-                let c = node.sys.cycles();
-                cycles.0 += c;
-                cycles.1 = cycles.1.max(c);
-                stat.nodes += 1;
-            }
-            stat.finish_ns = anchor.elapsed().as_nanos() as u64;
-            stat.span_ns = stat.finish_ns;
-            stat.busy_ns = stat.finish_ns;
-            return StepStats {
-                workers: vec![stat],
-                ledger,
-                cycles_total: cycles.0,
-                cycles_frontier: cycles.1,
-            };
+        for (&i, _) in awake.iter().zip(&nodes).filter(|(_, (_, stays_awake))| !stays_awake) {
+            self.wake.remove(i);
         }
-        let cursor = AtomicUsize::new(0);
-        let nodes = &self.nodes;
-        let parts: Mutex<Vec<(WorkerStat, RoundLedger, u64, u64)>> =
-            Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut stat = WorkerStat::default();
-                    let mut ledger = RoundLedger::default();
-                    let mut cycles = (0u64, 0u64);
-                    let mut first_grab: Option<u64> = None;
-                    let mut last_done = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
-                        if start >= nodes.len() {
-                            break;
-                        }
-                        if first_grab.is_none() {
-                            first_grab = Some(anchor.elapsed().as_nanos() as u64);
-                        }
-                        let end = (start + BATCH).min(nodes.len());
-                        step_batch(
-                            &mut nodes[start..end].iter(),
-                            &mut stat,
-                            &mut ledger,
-                            &mut cycles,
-                        );
-                        last_done = anchor.elapsed().as_nanos() as u64;
-                    }
-                    // Batch busy intervals are disjoint sub-intervals of
-                    // [first_grab, last_done], so busy <= span; the exit
-                    // stamp comes last, so span <= finish.
-                    stat.span_ns = last_done.saturating_sub(first_grab.unwrap_or(last_done));
-                    stat.finish_ns = anchor.elapsed().as_nanos() as u64;
-                    if stat.nodes > 0 {
-                        parts.lock().expect("pulse parts").push((stat, ledger, cycles.0, cycles.1));
-                    }
-                });
-            }
-        });
         let mut stats = StepStats::default();
-        for (stat, ledger, sum, max) in parts.into_inner().expect("pulse parts") {
-            stats.workers.push(stat);
+        stats.ledger.stepped = (self.cfg.nodes - awake.len()) as u64;
+        for (stat, ledger) in shifts {
             stats.ledger.merge(&ledger);
-            stats.cycles_total += sum;
-            stats.cycles_frontier = stats.cycles_frontier.max(max);
+            stats.workers.push(stat);
         }
-        stats
+        let anchor = anchor?;
+        if workers == 1 {
+            let ns = anchor.elapsed().as_nanos() as u64;
+            stats.workers[0] =
+                WorkerStat { busy_ns: ns, span_ns: ns, finish_ns: ns, ..stats.workers[0] };
+        }
+        stats.workers.retain(|w| w.nodes > 0);
+        let cycles = self.nodes.iter().map(|n| n.telemetry.cycles);
+        (stats.cycles_total, stats.cycles_frontier) =
+            (cycles.clone().sum(), cycles.max().unwrap_or(0));
+        Some(stats)
     }
 
     /// Steps `rounds` rounds.
@@ -784,16 +801,9 @@ impl Fleet {
         let deadline = self.round + max_rounds;
         while !self.converged() {
             if self.round >= deadline {
-                let missing = self
-                    .seeder
-                    .as_ref()
-                    .map(|s| {
-                        self.nodes
-                            .iter()
-                            .filter(|n| !n.lock().expect("node lock").has_installed(s.image_id))
-                            .count()
-                    })
-                    .unwrap_or(0);
+                let missing = self.seeder.as_ref().map_or(0, |s| {
+                    self.nodes.iter().filter(|n| !n.has_installed(s.image_id)).count()
+                });
                 return Err(format!(
                     "dissemination did not converge within {max_rounds} rounds \
                      ({missing}/{} nodes missing the image)",
@@ -814,8 +824,7 @@ impl Fleet {
         let scope = traced.then(|| {
             let mut agg = crate::ScopeAggregate::default();
             let mut per_node_recorded = harbor_scope::CycleHistogram::new();
-            for n in &mut self.nodes {
-                let node = n.get_mut().expect("node lock");
+            for node in &self.nodes {
                 let Some(sink) = node.sys.scope() else { continue };
                 agg.recorded += sink.recorded();
                 agg.dropped += sink.dropped();
@@ -828,11 +837,7 @@ impl Fleet {
             agg.p99_recorded = per_node_recorded.quantile(9900);
             agg
         });
-        let per_node: Vec<_> = self
-            .nodes
-            .iter_mut()
-            .map(|n| n.get_mut().expect("node lock").telemetry.clone())
-            .collect();
+        let per_node: Vec<_> = self.nodes.iter().map(|n| n.telemetry.clone()).collect();
         let convergence_round = if self.seeder.is_some() && self.converged() {
             per_node.iter().filter_map(|n| n.installed_round).max()
         } else {
@@ -888,11 +893,8 @@ impl Fleet {
     pub fn dumps(&mut self) -> Vec<Postmortem> {
         let mut dumps: Vec<Postmortem> = self
             .nodes
-            .iter_mut()
-            .flat_map(|n| {
-                let node = n.get_mut().expect("node lock");
-                node.recorder.as_ref().map_or(Vec::new(), |r| r.dumps().to_vec())
-            })
+            .iter()
+            .flat_map(|n| n.recorder.as_ref().map_or(Vec::new(), |r| r.dumps().to_vec()))
             .collect();
         dumps.sort_by_key(|d| (d.node, d.fault.cycles));
         dumps
@@ -903,8 +905,7 @@ impl Fleet {
     /// [`harbor_blackbox::check_monotone`] or
     /// [`harbor_blackbox::chrome_trace`].
     pub fn causal_logs(&mut self) -> Vec<CausalLog> {
-        let mut logs: Vec<CausalLog> =
-            self.nodes.iter_mut().map(|n| n.get_mut().expect("node lock").causal.clone()).collect();
+        let mut logs: Vec<CausalLog> = self.nodes.iter().map(|n| n.causal.clone()).collect();
         if let Some(seeder) = &self.seeder {
             logs.push(seeder.causal.clone());
         } else if let Some((_, causal, _)) = &self.retired_seeder {
@@ -924,11 +925,8 @@ impl Fleet {
     /// blackbox.
     pub fn alerts(&mut self) -> Vec<Alert> {
         self.nodes
-            .iter_mut()
-            .flat_map(|n| {
-                let node = n.get_mut().expect("node lock");
-                node.watchdog.as_ref().map_or(Vec::new(), |w| w.alerts().to_vec())
-            })
+            .iter()
+            .flat_map(|n| n.watchdog.as_ref().map_or(Vec::new(), |w| w.alerts().to_vec()))
             .collect()
     }
 }

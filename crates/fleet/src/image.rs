@@ -10,8 +10,9 @@
 
 use mini_sos::loader::{load_module, LoadedModule, ModuleSource};
 use mini_sos::{Protection, SosLayout};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Mutex;
 
 const MAGIC: [u8; 4] = *b"HBRF";
 const VERSION: u8 = 1;
@@ -91,12 +92,8 @@ impl ModuleImage {
     /// Converts back into the loader's install form (the node half; see
     /// [`mini_sos::SosSystem::install_module`]).
     pub fn to_loaded(&self) -> LoadedModule {
-        // Module names are `&'static str` throughout the loader; wire
-        // images reconstruct them once per distinct module, so the leak is
-        // bounded and harmless in a simulator.
-        let name: &'static str = Box::leak(self.name.clone().into_boxed_str());
         LoadedModule {
-            name,
+            name: intern(&self.name),
             domain: harbor::DomainId::num(self.domain),
             object: avr_asm::Object::from_parts(self.origin, self.words.clone(), BTreeMap::new()),
             entry_addrs: self.entry_addrs.clone(),
@@ -199,6 +196,20 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Module names are `&'static str` throughout the loader, so a name that
+/// arrives over the air has to be leaked. Interning leaks each distinct
+/// name once per process, however many nodes install the module.
+fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().expect("no thread panics while holding the name table");
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -232,6 +243,15 @@ mod tests {
         bytes[mid] ^= 0x40;
         assert_eq!(ModuleImage::from_bytes(&bytes), Err(ImageError::BadChecksum));
         assert_eq!(ModuleImage::from_bytes(&bytes[..8]), Err(ImageError::Truncated));
+    }
+
+    #[test]
+    fn installs_of_one_image_share_one_name() {
+        let layout = SosLayout::default_layout();
+        let img = ModuleImage::assemble(&modules::blink(0), &layout, Protection::Umpu).unwrap();
+        let (a, b) = (img.clone().to_loaded(), img.clone().to_loaded());
+        assert_eq!(a.name, img.name);
+        assert!(std::ptr::eq(a.name, b.name));
     }
 
     #[test]

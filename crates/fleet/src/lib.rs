@@ -15,9 +15,11 @@
 //! * [`node`] — one sensor node: a [`SosSystem`](mini_sos::SosSystem)
 //!   wrapped with an inbox, the dissemination state machine, and per-node
 //!   telemetry;
-//! * [`fleet`] — round-based stepping of hundreds of nodes across
-//!   `std::thread` workers, with dynamic work-stealing over node batches;
-//!   serial and parallel execution produce byte-identical telemetry;
+//! * [`fleet`] — event-driven round stepping of hundreds of nodes: each
+//!   round steps only the nodes in its wake set (a packet, a post, OTA
+//!   reassembly, queued kernel work or a draining watchdog), through one
+//!   loop that hands disjoint batches to `std::thread` workers; serial and
+//!   parallel execution produce byte-identical telemetry;
 //! * [`telemetry`] — per-node and aggregate counters exported as JSON;
 //! * [`campaign`] — fleet-scale fault-injection campaigns measuring
 //!   containment and recovery under the three protection builds.
@@ -31,7 +33,8 @@
 //! With [`FleetConfig::pulse`] set, the fleet also profiles *itself*: a
 //! `harbor-pulse` recorder times every pipeline phase (deliver, step,
 //! collect, tower feed), accounts per-worker busy/barrier time, and keeps
-//! an idle-work ledger of nodes stepped with nothing to do —
+//! an idle-work ledger of node-steps with nothing to do (skipped by the
+//! wake set, or stepped with no pending work) —
 //! [`Fleet::pulse_report`] serves the snapshot the `harbor-pulse` CLI
 //! renders and gates on. Pulse reads state and the host clock only; a
 //! pulse-enabled run's telemetry is byte-identical to a disabled run's.

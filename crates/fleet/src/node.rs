@@ -249,14 +249,30 @@ impl Node {
     /// Classifies this node's pending work for the idle-work ledger — a
     /// pure function of node state (inbox, OTA reassembly, kernel queue),
     /// never of the schedule, so serial and parallel runs classify
-    /// identically. The fleet calls this immediately before
-    /// [`Node::step`] when pulse is attached.
+    /// identically. With pulse attached the fleet classifies every awake
+    /// node immediately before its [`Node::step`].
     pub fn pending_work(&self) -> harbor_pulse::PendingWork {
         harbor_pulse::PendingWork {
             inbox: !self.inbox.is_empty(),
             ota: self.dissem.is_some(),
             queue: self.sys.queue_len() > 0,
         }
+    }
+
+    /// Whether the fleet must step this node again next round even if
+    /// nothing reaches it: OTA reassembly is in flight (its NACK timer
+    /// runs), the kernel queue still holds messages, or the watchdog is
+    /// not quiet (its windows roll down one round at a time, and that
+    /// timing decides when a detector re-arms).
+    ///
+    /// Otherwise the node may sleep until a packet, a post or host access
+    /// reaches it, because until then [`Node::step`] changes nothing: it
+    /// drains an empty inbox, skips the CPU, re-copies counters that
+    /// cannot have moved since the last step, polls a flight recorder that
+    /// only reacts to new events or cycles, and feeds a quiet watchdog the
+    /// totals it already holds, which leaves it as it was.
+    pub(crate) fn stays_awake(&self) -> bool {
+        self.pending_work().any() || self.watchdog.as_ref().is_some_and(|w| !w.is_quiet())
     }
 
     /// One simulation round: consume the inbox, advance dissemination

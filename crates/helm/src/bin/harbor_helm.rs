@@ -86,9 +86,9 @@ fn post_tick(run: &mut HelmRun, good: Option<u16>, bad: Option<u16>) {
     let fleet = run.fleet_mut();
     fleet.post_all(DomainId::num(0), MSG_TIMER);
     for i in 0..fleet.len() {
-        let (g, b) = fleet.with_node(i, |n| {
-            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)))
-        });
+        let n = fleet.node(i);
+        let (g, b) =
+            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)));
         if g {
             fleet.post(i, DomainId::num(GOOD_DOM), MSG_TIMER);
         }
@@ -158,7 +158,7 @@ fn run_scenario(nodes: usize, threads: usize, shards: u32, turbo: bool, prove: b
 
     let pre_flash: Vec<u64> = {
         let fleet = run.fleet_mut();
-        (0..fleet.len()).map(|i| fleet.with_node(i, |n| n.sys.flash_generation())).collect()
+        (0..fleet.len()).map(|i| fleet.node(i).sys.flash_generation()).collect()
     };
     let bad_image = ModuleImage::assemble(&modules::surge(BAD_DOM, 2), &layout, prot)
         .expect("bad image assembles");
@@ -247,8 +247,7 @@ fn run_checks() -> ExitCode {
     }
     {
         let fleet = s.run.fleet_mut();
-        let unflashed =
-            (0..fleet.len()).filter(|&i| !fleet.with_node(i, |n| n.has_installed(good_id))).count();
+        let unflashed = (0..fleet.len()).filter(|&i| !fleet.node(i).has_installed(good_id)).count();
         if unflashed != 0 {
             fail(format!("good campaign: {unflashed} nodes never flashed image {good_id}"));
         }
@@ -290,8 +289,9 @@ fn run_checks() -> ExitCode {
     let restored: u64 = {
         let fleet = s.run.fleet_mut();
         for i in 0..fleet.len() {
-            let (generation, installed, cohort) = fleet
-                .with_node(i, |n| (n.sys.flash_generation(), n.has_installed(bad_id), n.cohort));
+            let n = fleet.node(i);
+            let (generation, installed, cohort) =
+                (n.sys.flash_generation(), n.has_installed(bad_id), n.cohort);
             if generation != s.pre_flash[i] {
                 fail(format!(
                     "node {i} (cohort {cohort}) at flash generation {generation}, \
@@ -303,9 +303,7 @@ fn run_checks() -> ExitCode {
                 fail(format!("node {i} still reports bad image {bad_id} installed"));
             }
         }
-        (0..fleet.len())
-            .map(|i| fleet.with_node(i, |n| n.telemetry.metrics.counter("helm.rollbacks")))
-            .sum()
+        (0..fleet.len()).map(|i| fleet.node(i).telemetry.metrics.counter("helm.rollbacks")).sum()
     };
     if restored == 0 {
         fail("no node ever restored a checkpoint; rollback untested".to_string());

@@ -1,13 +1,15 @@
-//! The idle-work ledger: who had pending work, who was stepped anyway.
+//! The idle-work ledger: which node-steps had pending work.
 //!
-//! The fleet's round-lockstep scheduler steps *every* node *every* round.
 //! Dissemination quiesces, so in steady state most nodes have nothing to
 //! do — no packets in the inbox, no OTA reassembly in flight, no kernel
-//! messages queued — and the step is pure overhead. The ledger counts that
-//! overhead exactly: each round, every node is classified *before* it is
-//! stepped, and the per-flag counts are summed. Classification is a pure
-//! function of node state (never of the thread schedule or the host
-//! clock), so serial and parallel runs of one seed produce identical
+//! messages queued. The ledger counts that idle work exactly: each round,
+//! every node the fleet schedules (all of them) is classified *before*
+//! its step, and the per-flag counts are summed. The fleet's event-driven
+//! core skips nodes it knows to be idle and counts them here as idle, so
+//! the ledger reads the same as when every node was stepped; the workers'
+//! `WorkerStat::nodes` count what was actually stepped. Classification is
+//! a pure function of node state (never of the thread schedule or the
+//! host clock), so serial and parallel runs of one seed produce identical
 //! ledgers — regression-tested in `tests/fleet_pulse.rs`.
 
 /// Why a node counts as busy this round. A node may have several reasons
@@ -36,7 +38,8 @@ impl PendingWork {
 /// `busy <= stepped` always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundLedger {
-    /// Nodes stepped this round (the lockstep scheduler steps them all).
+    /// Nodes scheduled this round: every node in the fleet, whether the
+    /// event-driven core stepped it or skipped it as idle.
     pub stepped: u64,
     /// Nodes with at least one pending-work flag.
     pub busy: u64,
@@ -70,8 +73,8 @@ impl RoundLedger {
         self.queue += other.queue;
     }
 
-    /// Nodes stepped with no pending work — the wasted steps an
-    /// event-driven scheduler would skip.
+    /// Node-steps with no pending work: skipped by the fleet's wake set,
+    /// or stepped with nothing to do.
     pub fn idle(&self) -> u64 {
         self.stepped - self.busy
     }

@@ -2,7 +2,7 @@
 //! bounded-memory sketches.
 //!
 //! The fleet's `step_round` is a fixed pipeline — deliver (serial radio
-//! exchange), step (parallel node stepping), collect (serial outbox
+//! exchange), step (the awake nodes, on workers), collect (serial outbox
 //! drain), feed (serial tower ingestion) — and when pulse is attached the
 //! fleet stamps the phase boundaries with one monotonic clock chain plus
 //! an independent whole-round stopwatch. Because the chain's laps are
@@ -28,7 +28,7 @@ pub enum Phase {
     /// Serial radio exchange: due packets move to inboxes, the seeder
     /// answers NACKs and re-advertises.
     Deliver = 0,
-    /// Parallel node stepping (the phase worker threads fan out over).
+    /// Stepping the awake nodes (the phase worker threads fan out over).
     Step = 1,
     /// Serial outbox drain onto the radio, in node-id order.
     Collect = 2,
@@ -61,7 +61,9 @@ impl Phase {
 /// `busy <= span <= finish <= phase wall` holds by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStat {
-    /// Nodes this worker stepped.
+    /// Nodes this worker actually stepped (the fleet's wake set skips
+    /// the rest, so across a round's workers this can be below
+    /// `RoundLedger::stepped`).
     pub nodes: u64,
     /// Nanoseconds spent inside node batches (work attribution).
     pub busy_ns: u64,

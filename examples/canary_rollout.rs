@@ -32,9 +32,9 @@ fn tick(run: &mut HelmRun, good: Option<u16>, bad: Option<u16>) {
     let fleet = run.fleet_mut();
     fleet.post_all(DomainId::num(0), MSG_TIMER);
     for i in 0..fleet.len() {
-        let (g, b) = fleet.with_node(i, |n| {
-            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)))
-        });
+        let n = fleet.node(i);
+        let (g, b) =
+            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)));
         if g {
             fleet.post(i, DomainId::num(GOOD_DOM), MSG_TIMER);
         }
@@ -98,7 +98,7 @@ fn main() {
     // ── Campaign 2: the crash-looping build meets the canary gate. ──
     let pre_flash: Vec<u64> = {
         let fleet = run.fleet_mut();
-        (0..fleet.len()).map(|i| fleet.with_node(i, |n| n.sys.flash_generation())).collect()
+        (0..fleet.len()).map(|i| fleet.node(i).sys.flash_generation()).collect()
     };
     let bad_image = ModuleImage::assemble(&modules::surge(BAD_DOM, 2), &layout, Protection::Umpu)
         .expect("image assembles");
@@ -118,8 +118,8 @@ fn main() {
     let fleet = run.fleet_mut();
     let mut flashed_outside_canary = 0usize;
     for (i, &expected) in pre_flash.iter().enumerate() {
-        let (generation, installed) =
-            fleet.with_node(i, |n| (n.sys.flash_generation(), n.has_installed(bad_id)));
+        let n = fleet.node(i);
+        let (generation, installed) = (n.sys.flash_generation(), n.has_installed(bad_id));
         assert_eq!(generation, expected, "node {i} restored");
         if installed {
             flashed_outside_canary += 1;

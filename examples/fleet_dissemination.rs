@@ -60,10 +60,9 @@ fn run_one(protection: Protection, seed: u64) {
     let mut corrupted = 0;
     let mut clean_samples = 0;
     for v in 0..NODES {
-        let (wild, counter) = fleet.with_node(v, |node| {
-            let buf = node.sys.sram16(surge_state);
-            (node.sys.sram(buf.wrapping_add(0xff)), node.sys.sram(surge_state + 2))
-        });
+        let sys = &fleet.node(v).sys;
+        let buf = sys.sram16(surge_state);
+        let (wild, counter) = (sys.sram(buf.wrapping_add(0xff)), sys.sram(surge_state + 2));
         if wild != 0 {
             corrupted += 1;
         }

@@ -64,27 +64,22 @@ fn disseminated_module_is_bit_identical_to_direct_load() {
         let tree_state = layout.state_addr(TREE_DOM);
 
         for v in 0..NODES {
-            fleet.with_node(v, |node| {
-                assert!(node.has_installed(1), "{protection:?}: node {v} installed");
-                assert_eq!(
-                    node.sys.flash_words(slot, words),
-                    ref_flash,
-                    "{protection:?}: node {v} flash slot"
-                );
-                assert_eq!(
-                    node.sys.jt_page_words(TREE_DOM),
-                    ref_jt,
-                    "{protection:?}: node {v} jump table"
-                );
-                assert_eq!(
-                    node.sys.memory_map_bytes(),
-                    ref_map,
-                    "{protection:?}: node {v} memory map"
-                );
-                // And the module actually ran: init marked the state.
-                assert_eq!(node.sys.sram(tree_state), reference.sram(tree_state));
-                assert_eq!(node.sys.sram(tree_state + 1), 1, "{protection:?}: node {v} init ran");
-            });
+            let node = fleet.node(v);
+            assert!(node.has_installed(1), "{protection:?}: node {v} installed");
+            assert_eq!(
+                node.sys.flash_words(slot, words),
+                ref_flash,
+                "{protection:?}: node {v} flash slot"
+            );
+            assert_eq!(
+                node.sys.jt_page_words(TREE_DOM),
+                ref_jt,
+                "{protection:?}: node {v} jump table"
+            );
+            assert_eq!(node.sys.memory_map_bytes(), ref_map, "{protection:?}: node {v} memory map");
+            // And the module actually ran: init marked the state.
+            assert_eq!(node.sys.sram(tree_state), reference.sram(tree_state));
+            assert_eq!(node.sys.sram(tree_state + 1), 1, "{protection:?}: node {v} init ran");
         }
     }
 }
@@ -113,20 +108,19 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
     assert!(!fleet.converged(), "a quarantined image never converges");
     let slot = layout.slot_for(TREE_DOM);
     for v in 0..NODES {
-        fleet.with_node(v, |node| {
-            assert!(node.has_quarantined(id), "node {v} quarantined the image");
-            assert!(!node.has_installed(id), "node {v} must not install it");
-            assert_eq!(node.telemetry.quarantined(), 1, "node {v} counted one quarantine");
-            assert!(
-                node.sys.modules.iter().all(|m| m.domain != DomainId::num(TREE_DOM)),
-                "node {v}: nothing occupies the target domain"
-            );
-            // The flash slot was never written (still erased).
-            assert!(
-                node.sys.flash_words(slot, image.words.len() as u32).iter().all(|&w| w == 0xffff),
-                "node {v}: flash slot untouched"
-            );
-        });
+        let node = fleet.node(v);
+        assert!(node.has_quarantined(id), "node {v} quarantined the image");
+        assert!(!node.has_installed(id), "node {v} must not install it");
+        assert_eq!(node.telemetry.quarantined(), 1, "node {v} counted one quarantine");
+        assert!(
+            node.sys.modules.iter().all(|m| m.domain != DomainId::num(TREE_DOM)),
+            "node {v}: nothing occupies the target domain"
+        );
+        // The flash slot was never written (still erased).
+        assert!(
+            node.sys.flash_words(slot, image.words.len() as u32).iter().all(|&w| w == 0xffff),
+            "node {v}: flash slot untouched"
+        );
     }
 
     // The same image under a generous policy converges normally — the gate
@@ -146,10 +140,9 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
     let id = fleet.disseminate(&image);
     fleet.run_until_converged(400).expect("gated fleet still converges");
     for v in 0..NODES {
-        fleet.with_node(v, |node| {
-            assert!(node.has_installed(id), "node {v} installed under the roomy policy");
-            assert_eq!(node.telemetry.quarantined(), 0, "node {v}: no quarantines");
-        });
+        let node = fleet.node(v);
+        assert!(node.has_installed(id), "node {v} installed under the roomy policy");
+        assert_eq!(node.telemetry.quarantined(), 0, "node {v}: no quarantines");
     }
 }
 

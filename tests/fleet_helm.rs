@@ -51,9 +51,9 @@ fn tick(run: &mut HelmRun, good: Option<u16>, bad: Option<u16>) {
     let fleet = run.fleet_mut();
     fleet.post_all(DomainId::num(0), MSG_TIMER);
     for i in 0..fleet.len() {
-        let (g, b) = fleet.with_node(i, |n| {
-            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)))
-        });
+        let n = fleet.node(i);
+        let (g, b) =
+            (good.is_some_and(|id| n.has_installed(id)), bad.is_some_and(|id| n.has_installed(id)));
         if g {
             fleet.post(i, DomainId::num(GOOD_DOM), MSG_TIMER);
         }
@@ -115,7 +115,7 @@ fn campaigns(
 
     let pre_flash: Vec<u64> = {
         let fleet = run.fleet_mut();
-        (0..fleet.len()).map(|i| fleet.with_node(i, |n| n.sys.flash_generation())).collect()
+        (0..fleet.len()).map(|i| fleet.node(i).sys.flash_generation()).collect()
     };
     let bad = ModuleImage::assemble(&modules::surge(BAD_DOM, 2), &layout, prot)
         .expect("bad image assembles");
@@ -184,14 +184,13 @@ fn rollback_restores_pre_rollout_flash_state() {
     let canary_cohort = 0u32;
     let mut restores = 0u64;
     for i in 0..fleet.len() {
-        let (generation, installed, cohort, restored) = fleet.with_node(i, |n| {
-            (
-                n.sys.flash_generation(),
-                n.has_installed(bad_id),
-                n.cohort,
-                n.telemetry.metrics.counter("helm.rollbacks"),
-            )
-        });
+        let n = fleet.node(i);
+        let (generation, installed, cohort, restored) = (
+            n.sys.flash_generation(),
+            n.has_installed(bad_id),
+            n.cohort,
+            n.telemetry.metrics.counter("helm.rollbacks"),
+        );
         assert_eq!(generation, c.pre_flash[i], "node {i} flash generation restored");
         assert!(!installed, "node {i} still has the bad image");
         if cohort == canary_cohort {

@@ -93,8 +93,7 @@ fn ledger_matches_independent_census() {
         if round % 3 == 0 {
             fleet.post_all(DomainId::num(0), MSG_TIMER);
         }
-        let busy =
-            (0..NODES).filter(|&i| fleet.with_node(i, |n| n.pending_work().any())).count() as u64;
+        let busy = (0..NODES).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
         census.push(busy);
         fleet.step_round();
     }
