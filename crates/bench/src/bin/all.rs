@@ -1,10 +1,10 @@
 //! Regenerates every table and figure in one run (the source of
-//! `EXPERIMENTS.md`'s measured numbers).
+//! `EXPERIMENTS.md`'s measured numbers). The output is deterministic:
+//! diff two runs.
 //!
-//! The seven artefacts are independent, so each renders into its own
-//! buffer on a `std::thread::scope` worker; the buffers are then printed
-//! in the fixed table order, making the output deterministic regardless of
-//! which worker finishes first.
+//! ```sh
+//! cargo run -p harbor-bench --bin all
+//! ```
 
 use harbor_bench::report::{render_table, vs_paper, Row};
 use std::fmt::Write;
@@ -149,13 +149,8 @@ fn main() {
         macro_section,
         pipeline_section,
     ];
-    let mut outputs: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sections.iter().map(|f| scope.spawn(f)).collect();
-        outputs = handles.into_iter().map(|h| h.join().expect("bench section panicked")).collect();
-    });
-    for section in &outputs {
-        print!("{section}");
+    for section in sections {
+        print!("{}", section());
     }
     println!(
         "

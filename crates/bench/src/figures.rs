@@ -234,6 +234,16 @@ mod tests {
     }
 
     #[test]
+    fn macro_cycles_are_pinned() {
+        // (None, UMPU, SFI) cycles of the two macro tables EXPERIMENTS.md
+        // quotes; the overhead column is their ratio to None.
+        let cycles =
+            |points: Vec<MacroPoint>| -> Vec<u64> { points.iter().map(|p| p.cycles).collect() };
+        assert_eq!(cycles(macro_overhead(64)), [8_063, 10_328, 56_505]);
+        assert_eq!(cycles(pipeline_overhead(32)), [17_856, 34_420, 76_289]);
+    }
+
+    #[test]
     fn war_story_outcomes() {
         assert!(matches!(surge_war_story(Protection::None), SurgeOutcome::SilentCorruption { .. }));
         for p in [Protection::Umpu, Protection::Sfi] {

@@ -2,11 +2,15 @@
 //! DAC 2007 evaluation (Section 6 of the paper).
 //!
 //! Each module reproduces one artefact and returns structured rows; the
-//! `table3`…`macro_overhead` binaries print them side by side with the
-//! paper's reported numbers. Absolute cycle counts come from the
-//! cycle-accurate simulator, so the comparison against the paper's ModelSim
-//! measurements is direct; small deltas reflect re-implemented (not
-//! disassembled) check routines, as documented in `EXPERIMENTS.md`.
+//! `all` binary prints them side by side with the paper's reported numbers
+//! (`cargo run -p harbor-bench --bin all`). Absolute cycle counts come from
+//! the cycle-accurate simulator, so the comparison against the paper's
+//! ModelSim measurements is direct; small deltas reflect re-implemented (not
+//! disassembled) check routines, as documented in `EXPERIMENTS.md`. The
+//! values EXPERIMENTS.md quotes are pinned by each module's tests.
+//!
+//! The `harbor_prove --check` binary is the store-certificate gate. Host
+//! time is measured by `harbor_benchmark`, not here.
 
 pub mod report;
 pub mod table3;

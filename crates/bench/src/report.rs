@@ -1,4 +1,4 @@
-//! Table formatting shared by the harness binaries.
+//! Table formatting shared by the harness binaries, and the machine hash.
 
 /// One measured-vs-paper row.
 #[derive(Debug, Clone)]
@@ -17,8 +17,7 @@ impl Row {
 }
 
 /// Renders an aligned ASCII table with a title and column headers — the
-/// buffered form, so benchmarks running on worker threads can emit their
-/// sections in a deterministic order regardless of completion order.
+/// buffered form, so a section can append its own notes before printing.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Row]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -68,21 +67,9 @@ pub fn vs_paper(measured: impl std::fmt::Display, paper: impl std::fmt::Display)
     format!("{measured} (paper {paper})")
 }
 
-/// The `--seed <u64>` argument, or the bench's default.
-pub fn seed_from_args(default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--seed" {
-            let v = args.next().expect("--seed needs a value");
-            return v.parse().expect("--seed must be a u64");
-        }
-    }
-    default
-}
-
 /// FNV-1a over a byte string: the machine-identity hash. Two runs that
 /// executed the same simulated work (same cycle totals, same telemetry)
-/// hash identically, so `BENCH_*.json` files can be diffed across hosts
+/// hash identically, so benchmark reports can be diffed across hosts
 /// whose wall-clock numbers legitimately differ.
 pub fn machine_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,108 +88,4 @@ pub fn machine_hash_words(words: &[u64]) -> u64 {
         bytes.extend_from_slice(&w.to_le_bytes());
     }
     machine_hash(&bytes)
-}
-
-/// One run object of a [`BenchReport`], built field by field in emission
-/// order. Every run carries the shared schema fields — `nodes`, `rounds`
-/// and the `machine` identity hash — plus whatever the bench measures.
-pub struct BenchRun {
-    parts: Vec<String>,
-}
-
-impl BenchRun {
-    /// Starts a run record for a `nodes`-node, `rounds`-round scenario.
-    pub fn new(nodes: usize, rounds: u64) -> BenchRun {
-        BenchRun { parts: vec![format!("\"nodes\":{nodes}"), format!("\"rounds\":{rounds}")] }
-    }
-
-    /// A wall-clock field, milliseconds at fixed 3-decimal precision.
-    pub fn ms(mut self, key: &str, v: f64) -> BenchRun {
-        self.parts.push(format!("\"{key}\":{v:.3}"));
-        self
-    }
-
-    /// A ratio field (speedups, overhead percentages), 3 decimals.
-    pub fn ratio(mut self, key: &str, v: f64) -> BenchRun {
-        self.parts.push(format!("\"{key}\":{v:.3}"));
-        self
-    }
-
-    /// An integer or boolean field.
-    pub fn num(mut self, key: &str, v: impl std::fmt::Display) -> BenchRun {
-        self.parts.push(format!("\"{key}\":{v}"));
-        self
-    }
-
-    /// A pre-rendered JSON value (nested object or array).
-    pub fn raw(mut self, key: &str, json: &str) -> BenchRun {
-        self.parts.push(format!("\"{key}\":{json}"));
-        self
-    }
-
-    /// The machine-identity hash, rendered as a hex string.
-    pub fn machine(mut self, hash: u64) -> BenchRun {
-        self.parts.push(format!("\"machine\":\"{hash:016x}\""));
-        self
-    }
-
-    fn render(&self) -> String {
-        format!("{{{}}}", self.parts.join(","))
-    }
-}
-
-/// The shared `BENCH_*.json` writer. Every bench binary reports through
-/// this one schema — bench name, seed, min-of-N pass count, and a run
-/// array whose entries carry `nodes`/`rounds`/`machine` — so trend tooling
-/// parses one shape instead of six.
-pub struct BenchReport {
-    name: &'static str,
-    seed: u64,
-    min_of: usize,
-    runs: Vec<String>,
-    extra: Vec<String>,
-}
-
-impl BenchReport {
-    /// Starts a report for bench `name` run with `seed`, each mode timed
-    /// as a minimum over `min_of` interleaved passes.
-    pub fn new(name: &'static str, seed: u64, min_of: usize) -> BenchReport {
-        BenchReport { name, seed, min_of, runs: Vec::new(), extra: Vec::new() }
-    }
-
-    /// Appends a finished run record.
-    pub fn run(&mut self, run: BenchRun) {
-        self.runs.push(run.render());
-    }
-
-    /// Appends a top-level field with a pre-rendered JSON value (used by
-    /// `--combine` to embed sibling reports).
-    pub fn raw(&mut self, key: &str, json: &str) {
-        self.extra.push(format!("\"{key}\":{json}"));
-    }
-
-    /// The rendered report.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"bench\":\"{}\",\"seed\":{},\"min_of\":{},\"runs\":[{}]",
-            self.name,
-            self.seed,
-            self.min_of,
-            self.runs.join(",")
-        );
-        for e in &self.extra {
-            out.push(',');
-            out.push_str(e);
-        }
-        out.push('}');
-        out
-    }
-
-    /// Writes `BENCH_<suffix>.json` in the current directory and announces
-    /// it the way every bench binary does.
-    pub fn write(&self, suffix: &str) {
-        let path = format!("BENCH_{suffix}.json");
-        std::fs::write(&path, self.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
 }

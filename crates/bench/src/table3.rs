@@ -430,6 +430,22 @@ mod tests {
     }
 
     #[test]
+    fn software_overheads_are_pinned() {
+        // The column EXPERIMENTS.md quotes, in table order.
+        let sw: Vec<(&str, u64)> = measure().iter().map(|r| (r.name, r.sw)).collect();
+        assert_eq!(
+            sw,
+            [
+                ("Memmap Checker", 75),
+                ("Cross Domain Call", 83),
+                ("Cross Domain Ret", 33),
+                ("Save Ret Addr", 33),
+                ("Restore Ret Addr", 20),
+            ]
+        );
+    }
+
+    #[test]
     fn software_overheads_match_the_papers_shape() {
         // Re-implemented stubs won't hit the paper's counts exactly, but
         // they must be the same order of magnitude and preserve every

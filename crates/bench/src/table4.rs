@@ -155,6 +155,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn costs_are_pinned() {
+        // (normal, UMPU, SFI) cycles, as EXPERIMENTS.md quotes them.
+        let rows: Vec<(&str, u64, u64, u64)> =
+            measure().iter().map(|r| (r.name, r.normal, r.protected, r.sfi)).collect();
+        assert_eq!(
+            rows,
+            [("malloc", 476, 649, 753), ("free", 281, 629, 735), ("change_own", 73, 432, 537)]
+        );
+    }
+
+    #[test]
     fn protection_always_costs_more() {
         for r in measure() {
             assert!(

@@ -81,6 +81,17 @@ mod tests {
     }
 
     #[test]
+    fn library_footprints_are_pinned() {
+        // (FLASH, RAM) bytes, as EXPERIMENTS.md quotes them.
+        let rows: Vec<(&str, u32, u32)> =
+            measure().iter().map(|r| (r.name, r.flash, r.ram)).collect();
+        assert_eq!(
+            rows,
+            [("Dynamic Memory", 352, 2049), ("Memory Map", 214, 192), ("Jump Table", 2048, 0)]
+        );
+    }
+
+    #[test]
     fn memory_map_costs_are_plausible() {
         let rows = measure();
         let mm = rows.iter().find(|r| r.name == "Memory Map").unwrap();

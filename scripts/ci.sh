@@ -30,12 +30,6 @@ echo "== cargo test -q (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg, tower attach
 # reconciles every rolled-up counter against raw telemetry.
 HARBOR_TURBO=1 HARBOR_PROVE=1 cargo test -q -p harbor-repro --test fleet_tower
 
-echo "== turbo_speedup --check"
-# Gate: reference cycles pinned to the golden value (the turbo subsystem,
-# when disabled, must not perturb reference execution), and turbo
-# byte-identical to reference on the same fleet.
-cargo run -q -p harbor-bench --bin turbo_speedup -- --check
-
 echo "== harbor_prove --check"
 # Gate: store certificates are deterministic, per-module elision rates
 # stay above their pinned floors, and an 8-node fleet reports identical
@@ -91,7 +85,9 @@ echo "== harbor_benchmark tests and default-seed pins"
 # episode 0 of all four workloads and exits non-zero on any pin mismatch
 # (the `admit_verify` outcome pin covers every admission verdict,
 # certificate digest and refusal string of its 16,384 images).
-cargo test --manifest-path harbor_benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path harbor_benchmark/Cargo.toml -- --seconds 0
+# `--locked` fails the step if a change to a path dependency's manifest
+# would rewrite the benchmark's lockfile.
+cargo test --locked --manifest-path harbor_benchmark/Cargo.toml
+cargo run --release --offline --quiet --locked --manifest-path harbor_benchmark/Cargo.toml -- --seconds 0
 
 echo "== ci: all green"
