@@ -7,8 +7,9 @@
 //! per slice, filtered out by one bit test *before* the event is even
 //! constructed — never reach it, while the rare, diagnostic events (faults,
 //! crossings, kernel lifecycle) all land in the ring. That
-//! pre-construction filter is what keeps recorder overhead under the
-//! acceptance bound (measured in `BENCH_blackbox.json`).
+//! pre-construction filter is what keeps the recorder cheap enough to
+//! leave on; `harbor_benchmark`'s `helm_canary` workload runs it in the
+//! loop.
 //!
 //! Between events, the recorder samples [`ArchSnapshot`]s at its
 //! observation points (each [`FlightRecorder::poll`], normally once per

@@ -11,6 +11,19 @@
 // Included by several binaries, none of which uses every helper.
 #![allow(dead_code)]
 
+/// The run's master seed: `HARBOR_SEED` if set (so a failing gate replays
+/// with `HARBOR_SEED=n`), `default` otherwise.
+///
+/// # Panics
+///
+/// Panics if `HARBOR_SEED` is set but is not a `u64`.
+pub fn seed(default: u64) -> u64 {
+    match std::env::var("HARBOR_SEED") {
+        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
+        Err(_) => default,
+    }
+}
+
 /// Parsed command line: the arguments after the program name.
 pub struct Cli {
     args: Vec<String>,

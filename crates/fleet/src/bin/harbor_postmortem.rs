@@ -45,13 +45,6 @@ const FAULT_ROUNDS: [u64; 2] = [8, 16];
 /// Total rounds of the scenario.
 const ROUNDS: u64 = 24;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5c09e,
-    }
-}
-
 /// The built-in crash scenario: every node runs Blink plus Surge-without-
 /// Tree-Routing (whose timer handler dereferences the 0xff error return);
 /// victims get their Surge timer posted in [`FAULT_ROUNDS`], fault, and
@@ -60,7 +53,7 @@ fn run_scenario(threads: usize) -> Fleet {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: cli::seed(0x5c09e),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         blackbox: Some(BlackboxConfig::default()),

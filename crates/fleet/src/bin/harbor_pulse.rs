@@ -30,7 +30,10 @@
 //! any thread count; (4) pulse is free when disabled and
 //! invisible when enabled — serial, parallel, pulse-on and pulse-off runs
 //! of one seed produce byte-identical fleet telemetry, and serial and
-//! parallel ledgers match byte for byte. Exits non-zero on any violation.
+//! parallel ledgers match byte for byte. Every gate runs twice in one
+//! invocation, on the reference interpreter and on turbo + prove, and the
+//! two engines must agree on the headline scenario. Exits non-zero on any
+//! violation.
 
 mod cli;
 
@@ -38,7 +41,7 @@ use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use harbor_pulse::{LedgerTotals, PulseReport, RoundRecord};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 use std::process::ExitCode;
 
 /// Post-quiescence observation window (rounds). Two advert periods, so
@@ -52,20 +55,18 @@ const MAX_ROUNDS: u64 = 600;
 /// Node count of the headline scenario (matches the acceptance gate).
 const NODES: usize = 512;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x9a15e,
-    }
-}
-
-fn config(nodes: usize, threads: usize, pulse: bool) -> FleetConfig {
+/// The fleet every scenario runs, on `engine`, a `(turbo, prove)` pair
+/// of [`ENGINES`].
+fn config(nodes: usize, threads: usize, pulse: bool, engine: (bool, bool)) -> FleetConfig {
+    let (turbo, prove) = engine;
     FleetConfig {
         nodes,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: cli::seed(0x9a15e),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
+        turbo,
+        prove,
         pulse,
         ..FleetConfig::default()
     }
@@ -85,8 +86,8 @@ struct Quiesced {
 /// The headline scenario: disseminate Tree Routing over a 10%-lossy radio,
 /// run to convergence, drain the channel, then observe [`WINDOW`] rounds
 /// of steady state (only the seeder's periodic re-adverts arrive).
-fn quiesce_scenario(nodes: usize, threads: usize, pulse: bool) -> Quiesced {
-    let cfg = config(nodes, threads, pulse);
+fn quiesce_scenario(nodes: usize, threads: usize, pulse: bool, engine: (bool, bool)) -> Quiesced {
+    let cfg = config(nodes, threads, pulse, engine);
     let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
     let image = ModuleImage::assemble(&modules::tree_routing(3), &fleet.layout(), cfg.protection)
         .expect("image assembles");
@@ -143,7 +144,7 @@ fn main() -> ExitCode {
     if cli.flag("--check") {
         run_checks()
     } else if cli.flag("--json") {
-        let q = quiesce_scenario(nodes, 0, true);
+        let q = quiesce_scenario(nodes, 0, true, ENGINES[0]);
         println!("{}", q.fleet.pulse_report().expect("pulse attached").to_json());
         ExitCode::SUCCESS
     } else {
@@ -154,8 +155,10 @@ fn main() -> ExitCode {
 /// Demo: tables on stdout; report JSON and a merged host+guest Perfetto
 /// document on disk.
 fn run_demo(nodes: usize) -> ExitCode {
-    let cfg =
-        FleetConfig { scope: Some(harbor_scope::SinkSpec::Ring(512)), ..config(nodes, 0, true) };
+    let cfg = FleetConfig {
+        scope: Some(harbor_scope::SinkSpec::Ring(512)),
+        ..config(nodes, 0, true, ENGINES[0])
+    };
     let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
     let image = ModuleImage::assemble(&modules::tree_routing(3), &fleet.layout(), cfg.protection)
         .expect("image assembles");
@@ -208,8 +211,40 @@ fn run_demo(nodes: usize) -> ExitCode {
 
 fn run_checks() -> ExitCode {
     let failures = std::cell::Cell::new(0u32);
+    // The reference interpreter and turbo + prove, the first and last of
+    // `ENGINES`: profiling must stay observational, and the scenario must
+    // play out identically, whichever engine steps the nodes.
+    let reference = check_engine(ENGINES[0], &failures);
+    let fast = check_engine(ENGINES[3], &failures);
+    if fast != reference {
+        eprintln!(
+            "FAIL: turbo+prove dissemination (converged, idle, deliveries) {fast:?} \
+             differs from the reference engine's {reference:?}"
+        );
+        failures.set(failures.get() + 1);
+    }
+
+    if failures.get() == 0 {
+        let (converged_at, idle, delivered) = reference;
+        println!(
+            "harbor-pulse --check: all invariants hold \
+             ({NODES} nodes converged at round {converged_at}, window {idle}\u{2031} idle, \
+             {delivered} re-advert deliveries reconciled)",
+        );
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("harbor-pulse --check: {} failure(s)", failures.get());
+        ExitCode::FAILURE
+    }
+}
+
+/// Every gate on one `(turbo, prove)` engine, counting violations into
+/// `failures`. Returns the headline scenario's convergence round, window
+/// idle fraction (‱) and re-advert deliveries.
+fn check_engine(engine: (bool, bool), failures: &std::cell::Cell<u32>) -> (u64, u64, u64) {
+    let tag = format!("turbo={} prove={}", engine.0, engine.1);
     let fail = |msg: String| {
-        eprintln!("FAIL: {msg}");
+        eprintln!("FAIL: {tag}: {msg}");
         failures.set(failures.get() + 1);
     };
 
@@ -218,7 +253,7 @@ fn run_checks() -> ExitCode {
     // exactly what the ledger must classify (the deliver phase has nothing
     // to add), so a host-side census must match round by round.
     for threads in [1usize, 4] {
-        let cfg = config(64, threads, true);
+        let cfg = config(64, threads, true, engine);
         let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
         let mut census = Vec::new();
         for round in 0..8u64 {
@@ -251,13 +286,13 @@ fn run_checks() -> ExitCode {
                 8 * 64
             ));
         }
-        failures.set(failures.get() + reconcile("census", &report));
+        failures.set(failures.get() + reconcile(&format!("{tag}: census"), &report));
     }
 
     // ── (3) the quiescing dissemination at 512 nodes ──
-    let q = quiesce_scenario(NODES, 4, true);
+    let q = quiesce_scenario(NODES, 4, true, engine);
     let report = q.fleet.pulse_report().expect("pulse attached");
-    failures.set(failures.get() + reconcile("dissemination", &report));
+    failures.set(failures.get() + reconcile(&format!("{tag}: dissemination"), &report));
     let records = window_records(&report, q.window_start);
     if records.len() != WINDOW as usize {
         fail(format!(
@@ -295,10 +330,10 @@ fn run_checks() -> ExitCode {
     }
 
     // ── (4) identity: pulse is invisible on and free off ──
-    let mut on_serial = quiesce_scenario(64, 1, true);
-    let mut on_parallel = quiesce_scenario(64, 4, true);
-    let mut off_serial = quiesce_scenario(64, 1, false);
-    let mut off_parallel = quiesce_scenario(64, 4, false);
+    let mut on_serial = quiesce_scenario(64, 1, true, engine);
+    let mut on_parallel = quiesce_scenario(64, 4, true, engine);
+    let mut off_serial = quiesce_scenario(64, 1, false, engine);
+    let mut off_parallel = quiesce_scenario(64, 4, false, engine);
     let reference = on_serial.fleet.telemetry().comparable_json();
     for (name, fleet) in [
         ("pulse-on parallel", &mut on_parallel.fleet),
@@ -335,22 +370,10 @@ fn run_checks() -> ExitCode {
             ));
         }
     }
-    failures.set(failures.get() + reconcile("identity serial", &serial_report));
-    failures.set(failures.get() + reconcile("identity parallel", &parallel_report));
-
-    if failures.get() == 0 {
-        println!(
-            "harbor-pulse --check: all invariants hold \
-             ({NODES} nodes converged at round {}, window {}\u{2031} idle, \
-             {delivered} re-advert deliveries reconciled)",
-            q.converged_at,
-            win.idle_per_myriad(),
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("harbor-pulse --check: {} failure(s)", failures.get());
-        ExitCode::FAILURE
-    }
+    failures.set(failures.get() + reconcile(&format!("{tag}: identity serial"), &serial_report));
+    failures
+        .set(failures.get() + reconcile(&format!("{tag}: identity parallel"), &parallel_report));
+    (q.converged_at, win.idle_per_myriad(), delivered)
 }
 
 /// The event-driven core's promise for one round: its workers stepped

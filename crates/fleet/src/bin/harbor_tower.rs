@@ -56,13 +56,6 @@ const ROUNDS: u64 = 28;
 /// Surge (without Tree Routing, so its timer handler faults) lives here.
 const SURGE_DOM: u8 = 3;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x70_3e_12,
-    }
-}
-
 /// A cohorted fleet with the blackbox and tower attached: Blink ticks on
 /// every node, the bad cohort's Surge timer crash-loops from
 /// [`LOOP_START`], and (when `disseminate` is set) Tree Routing is pushed
@@ -78,7 +71,7 @@ fn run_scenario(
     let cfg = FleetConfig {
         nodes,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: cli::seed(0x70_3e_12),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         blackbox: Some(BlackboxConfig::default()),
@@ -230,13 +223,10 @@ fn run_checks() -> ExitCode {
     let prove_rollup = prove_fleet.tower_rollup().unwrap();
     let ref_rollup = serial.tower_rollup().unwrap();
     let (ref_totals, prove_totals) = (ref_rollup.totals(), prove_rollup.totals());
-    // `HARBOR_PROVE=1` enables elision on the reference run too, in which
-    // case the two runs must agree on every field including the counter.
-    let env_prove = std::env::var_os("HARBOR_PROVE").is_some_and(|v| v == "1");
     for (name, (r, p)) in
         CounterSet::FIELDS.iter().zip(ref_totals.values().into_iter().zip(prove_totals.values()))
     {
-        let agree = if *name == "stores_elided" && !env_prove { p > r } else { p == r };
+        let agree = if *name == "stores_elided" { p > r } else { p == r };
         if !agree {
             fail(format!("prove leg: {name} diverged (reference {r}, prove {p})"));
         }

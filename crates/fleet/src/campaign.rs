@@ -247,9 +247,14 @@ pub fn run_campaign(protection: Protection, cfg: &CampaignConfig) -> CampaignRep
 mod tests {
     use super::*;
 
-    fn small(protection: Protection) -> CampaignReport {
+    use mini_sos::ENGINES;
+
+    /// A 10-node campaign under `protection` on one `(turbo, prove)`
+    /// engine of [`ENGINES`].
+    fn small(protection: Protection, (turbo, prove): (bool, bool)) -> CampaignReport {
+        let fleet = FleetConfig { nodes: 10, seed: 11, threads: 1, ..FleetConfig::default() };
         let cfg = CampaignConfig {
-            fleet: FleetConfig { nodes: 10, seed: 11, threads: 1, ..FleetConfig::default() },
+            fleet: FleetConfig { turbo, prove, ..fleet },
             victims: 4,
             warmup_rounds: 3,
             after_rounds: 4,
@@ -259,31 +264,37 @@ mod tests {
 
     #[test]
     fn protected_builds_contain_every_victim() {
-        for p in [Protection::Umpu, Protection::Sfi] {
-            let r = small(p);
-            assert_eq!(r.injected, 4, "{p:?}");
-            assert_eq!(r.contained, r.injected, "{p:?}: {r:?}");
-            assert_eq!(r.corrupted, 0, "{p:?}");
-            assert_eq!(r.recovered, r.injected, "{p:?}: nodes keep running");
-            assert!(r.faults_raised >= r.injected as u64, "{p:?}");
-            assert_eq!(r.bystanders_corrupted, 0, "{p:?}");
-            assert!((r.containment_rate() - 1.0).abs() < f64::EPSILON);
-            // Every victim's fault froze a postmortem dump.
-            assert!(r.dumps_captured >= r.injected, "{p:?}: {r:?}");
-            assert!(r.to_json().contains("\"dumps_captured\""), "{p:?}");
+        for engine @ (turbo, prove) in ENGINES {
+            for p in [Protection::Umpu, Protection::Sfi] {
+                let on = format!("{p:?} turbo={turbo} prove={prove}");
+                let r = small(p, engine);
+                assert_eq!(r.injected, 4, "{on}");
+                assert_eq!(r.contained, r.injected, "{on}: {r:?}");
+                assert_eq!(r.corrupted, 0, "{on}");
+                assert_eq!(r.recovered, r.injected, "{on}: nodes keep running");
+                assert!(r.faults_raised >= r.injected as u64, "{on}");
+                assert_eq!(r.bystanders_corrupted, 0, "{on}");
+                assert!((r.containment_rate() - 1.0).abs() < f64::EPSILON, "{on}");
+                // Every victim's fault froze a postmortem dump.
+                assert!(r.dumps_captured >= r.injected, "{on}: {r:?}");
+                assert!(r.to_json().contains("\"dumps_captured\""), "{on}");
+            }
         }
     }
 
     #[test]
     fn unprotected_build_is_silently_corrupted() {
-        let r = small(Protection::None);
-        assert_eq!(r.corrupted, r.injected, "{r:?}");
-        assert_eq!(r.contained, 0);
-        assert_eq!(r.faults_raised, 0, "no trap fires without protection");
-        assert_eq!(r.bystanders_corrupted, 0);
-        // Silent corruption is the whole point: no fault, no dump, and the
-        // watchdogs see nothing wrong.
-        assert_eq!(r.dumps_captured, 0);
-        assert_eq!(r.health(), "healthy");
+        for engine @ (turbo, prove) in ENGINES {
+            let on = format!("turbo={turbo} prove={prove}");
+            let r = small(Protection::None, engine);
+            assert_eq!(r.corrupted, r.injected, "{on}: {r:?}");
+            assert_eq!(r.contained, 0, "{on}");
+            assert_eq!(r.faults_raised, 0, "{on}: no trap fires without protection");
+            assert_eq!(r.bystanders_corrupted, 0, "{on}");
+            // Silent corruption is the whole point: no fault, no dump, and the
+            // watchdogs see nothing wrong.
+            assert_eq!(r.dumps_captured, 0, "{on}");
+            assert_eq!(r.health(), "healthy", "{on}");
+        }
     }
 }

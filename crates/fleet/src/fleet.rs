@@ -89,13 +89,16 @@ pub struct FleetConfig {
     /// Execution is cycle-, state- and telemetry-identical either way
     /// (regression-tested in `tests/fleet_turbo.rs`); turbo only removes
     /// per-instruction fetch/decode work, so large fleets step faster.
+    /// [`mini_sos::ENGINES`] lists every `(turbo, prove)` pair; the fleet
+    /// test suites sweep all of them.
     pub turbo: bool,
     /// Enable certified store-check elision (`harbor-prove`) on every node.
     /// Under the UMPU build, admission derives a `harbor-flow` store
     /// certificate per module and statically proven stores skip the
     /// memory-map-checker walk. Execution is cycle-, state- and
     /// telemetry-identical either way (regression-tested in
-    /// `tests/fleet_prove.rs`); a no-op under the other builds.
+    /// `tests/fleet_prove.rs`); a no-op under the other builds. Swept
+    /// with `turbo` through [`mini_sos::ENGINES`].
     pub prove: bool,
     /// Cohort count for telemetry grouping: node `i` is tagged cohort
     /// `i % cohorts`. Purely observational (a stand-in for a rollout ring
@@ -365,15 +368,12 @@ impl Fleet {
         proto.set_load_policy(cfg.load_policy);
         // Enable on the *prototype*, before cloning: priming decodes the
         // flash image once, and every node then shares it behind an `Arc`.
-        // Only ever enable here — a system built under `HARBOR_TURBO=1`
-        // already carries an engine, so the CI matrix leg covers the fleet
-        // path too.
         // Prove before turbo: the decoded pages bake the elision bit, so
         // the map must be published before the engine primes.
-        if cfg.prove && !proto.prove_enabled() {
+        if cfg.prove {
             proto.set_prove(true);
         }
-        if cfg.turbo && !proto.turbo_enabled() {
+        if cfg.turbo {
             proto.set_turbo(true);
         }
         let layout = proto.layout;

@@ -25,7 +25,9 @@
 //! resolvable dump id; (3) decision logs are byte-identical across
 //! serial/parallel stepping, shard counts, turbo and prove; (4) a fleet
 //! with helm attached but no campaign produces byte-identical telemetry
-//! to a bare fleet. Exits non-zero on any violation.
+//! to a bare fleet. Gates (1) and (2) run twice in one invocation, on the
+//! reference interpreter and on turbo + prove, whose 512-node decision
+//! logs must match. Exits non-zero on any violation.
 
 #[path = "../../../fleet/src/bin/cli.rs"]
 mod cli;
@@ -34,7 +36,7 @@ use harbor::DomainId;
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, TowerConfig};
 use harbor_helm::{chrome_trace, query, Helm, HelmRun, PlanConfig, RolloutState};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 use std::process::ExitCode;
 
 /// Cohorts in every scenario; the canary ladder is 1 → 2 → 4 → 8.
@@ -55,18 +57,11 @@ const WARMUP: u64 = 4;
 /// Stall budget per campaign.
 const MAX_CAMPAIGN_ROUNDS: u64 = 240;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x70_3e_12,
-    }
-}
-
 fn build_fleet(nodes: usize, threads: usize, shards: u32, turbo: bool, prove: bool) -> Fleet {
     let cfg = FleetConfig {
         nodes,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: cli::seed(0x70_3e_12),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         blackbox: Some(BlackboxConfig::default()),
@@ -223,6 +218,11 @@ fn run_demo() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Both campaigns' decision logs, the bytes every identity leg compares.
+fn decision_logs(s: &Scenario) -> String {
+    format!("{}\n{}", s.good_log, s.run.helm().expect("bad campaign ran").log_json())
+}
+
 fn run_checks() -> ExitCode {
     let failures = std::cell::Cell::new(0u32);
     let fail = |msg: String| {
@@ -230,8 +230,77 @@ fn run_checks() -> ExitCode {
         failures.set(failures.get() + 1);
     };
 
-    // ── the 512-node campaign ──
-    let mut s = run_scenario(512, 4, 4, false, false);
+    // ── the 512-node campaign, on the reference interpreter and on turbo +
+    // prove (the first and last of `ENGINES`) ──
+    let s = check_campaign(ENGINES[0], &fail);
+    let fast = check_campaign(ENGINES[3], &fail);
+    if decision_logs(&fast) != decision_logs(&s) {
+        fail("512-node turbo+prove decision logs differ from the reference".to_string());
+    }
+
+    // ── decision-log identity: serial ≡ parallel ≡ any shard count ──
+    let ref_logs = decision_logs(&run_scenario(24, 1, 4, false, false));
+    for (label, threads, shards, turbo, prove) in [
+        ("parallel", 4usize, 4u32, false, false),
+        ("1-shard", 4, 1, false, false),
+        ("7-shard", 4, 7, false, false),
+        ("turbo", 4, 4, true, false),
+        ("prove", 4, 4, false, true),
+    ] {
+        if decision_logs(&run_scenario(24, threads, shards, turbo, prove)) != ref_logs {
+            fail(format!("{label} decision logs differ from the serial reference"));
+        }
+    }
+
+    // ── helm attached but idle changes nothing ──
+    let mut bare = build_fleet(24, 4, 4, false, false);
+    let mut wrapped = HelmRun::new(build_fleet(24, 4, 4, false, false));
+    for _ in 0..16 {
+        bare.post_all(DomainId::num(0), MSG_TIMER);
+        bare.step_round();
+        wrapped.fleet_mut().post_all(DomainId::num(0), MSG_TIMER);
+        wrapped.step_round();
+    }
+    let bare_bytes =
+        format!("{}{}", bare.telemetry().to_json(), bare.tower_rollup().unwrap().to_json());
+    let wrapped_bytes = {
+        let fleet = wrapped.fleet_mut();
+        format!("{}{}", fleet.telemetry().to_json(), fleet.tower_rollup().unwrap().to_json())
+    };
+    if bare_bytes != wrapped_bytes {
+        fail("idle helm changed fleet telemetry or rollup bytes".to_string());
+    }
+
+    // Campaign timing (informational; EXPERIMENTS.md cites these).
+    let bad_helm = s.run.helm().expect("bad campaign ran");
+    let admitted = bad_helm.plan().admitted_round;
+    let detect =
+        bad_helm.log().iter().find(|r| r.decision == "roll-back").map(|r| r.round - admitted);
+    let rolled =
+        bad_helm.log().iter().find(|r| r.decision == "rolled-back").map(|r| r.round - admitted);
+
+    if failures.get() == 0 {
+        println!(
+            "harbor-helm --check: all invariants hold \
+             (512 nodes, {COHORTS} cohorts; good image promoted by round {}; \
+             bad image condemned {:?} rounds after admission, fully restored after {:?})",
+            s.run.fleet().round(),
+            detect,
+            rolled,
+        );
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("harbor-helm --check: {} failure(s)", failures.get());
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs the 512-node campaign on one `(turbo, prove)` engine and reports
+/// every violated campaign gate through `report`, tagged with the engine.
+fn check_campaign(engine: (bool, bool), report: &dyn Fn(String)) -> Scenario {
+    let (turbo, prove) = engine;
+    let fail = |msg: String| report(format!("turbo={turbo} prove={prove}: {msg}"));
+    let mut s = run_scenario(512, 4, 4, turbo, prove);
     let nodes = s.run.fleet().len();
     let (good_id, bad_id) = (s.good_id, s.bad_id);
 
@@ -331,62 +400,5 @@ fn run_checks() -> ExitCode {
         ));
     }
 
-    // ── decision-log identity: serial ≡ parallel ≡ any shard count ──
-    let reference = run_scenario(24, 1, 4, false, false);
-    let ref_logs = format!("{}\n{}", reference.good_log, reference.run.helm().unwrap().log_json());
-    for (label, threads, shards, turbo, prove) in [
-        ("parallel", 4usize, 4u32, false, false),
-        ("1-shard", 4, 1, false, false),
-        ("7-shard", 4, 7, false, false),
-        ("turbo", 4, 4, true, false),
-        ("prove", 4, 4, false, true),
-    ] {
-        let other = run_scenario(24, threads, shards, turbo, prove);
-        let logs = format!("{}\n{}", other.good_log, other.run.helm().unwrap().log_json());
-        if logs != ref_logs {
-            fail(format!("{label} decision logs differ from the serial reference"));
-        }
-    }
-
-    // ── helm attached but idle changes nothing ──
-    let mut bare = build_fleet(24, 4, 4, false, false);
-    let mut wrapped = HelmRun::new(build_fleet(24, 4, 4, false, false));
-    for _ in 0..16 {
-        bare.post_all(DomainId::num(0), MSG_TIMER);
-        bare.step_round();
-        wrapped.fleet_mut().post_all(DomainId::num(0), MSG_TIMER);
-        wrapped.step_round();
-    }
-    let bare_bytes =
-        format!("{}{}", bare.telemetry().to_json(), bare.tower_rollup().unwrap().to_json());
-    let wrapped_bytes = {
-        let fleet = wrapped.fleet_mut();
-        format!("{}{}", fleet.telemetry().to_json(), fleet.tower_rollup().unwrap().to_json())
-    };
-    if bare_bytes != wrapped_bytes {
-        fail("idle helm changed fleet telemetry or rollup bytes".to_string());
-    }
-
-    // Campaign timing (informational; EXPERIMENTS.md cites these).
-    let bad_helm = s.run.helm().expect("bad campaign ran");
-    let admitted = bad_helm.plan().admitted_round;
-    let detect =
-        bad_helm.log().iter().find(|r| r.decision == "roll-back").map(|r| r.round - admitted);
-    let rolled =
-        bad_helm.log().iter().find(|r| r.decision == "rolled-back").map(|r| r.round - admitted);
-
-    if failures.get() == 0 {
-        println!(
-            "harbor-helm --check: all invariants hold \
-             (512 nodes, {COHORTS} cohorts; good image promoted by round {}; \
-             bad image condemned {:?} rounds after admission, fully restored after {:?})",
-            s.run.fleet().round(),
-            detect,
-            rolled,
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("harbor-helm --check: {} failure(s)", failures.get());
-        ExitCode::FAILURE
-    }
+    s
 }

@@ -3,9 +3,9 @@
 //!
 //! The guest side of this repository is thoroughly observed — scope traces,
 //! blackbox postmortems, tower rollups — but the *host* simulator that must
-//! scale to 100k+ nodes was a black box: `BENCH_fleet.json` showed parallel
-//! stepping barely beating serial without saying where the wall-clock goes
-//! or how much of it is wasted stepping nodes that had nothing to do. This
+//! scale to 100k+ nodes was a black box: parallel stepping barely beat
+//! serial, and nothing said where the wall-clock goes or how much of it is
+//! wasted stepping nodes that had nothing to do. This
 //! crate answers both questions, and its numbers are the acceptance
 //! baseline for the planned event-driven fleet rearchitecture:
 //!

@@ -56,4 +56,4 @@ pub mod system;
 pub use kernel::{JtEntry, KernelApi, KernelImage, MSG_INIT, MSG_TIMER};
 pub use layout::SosLayout;
 pub use loader::{LoadError, LoadPolicy, ModuleSource};
-pub use system::{FaultRecord, Protection, SosSystem};
+pub use system::{FaultRecord, Protection, SosSystem, ENGINES};

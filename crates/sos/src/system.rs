@@ -56,6 +56,15 @@ enum Mach {
     Umpu(Cpu<UmpuEnv>),
 }
 
+/// Every engine a system can run, as `(turbo, prove)` pairs for
+/// [`SosSystem::set_turbo`] and [`SosSystem::set_prove`] (a fleet takes the
+/// same pair as `FleetConfig::{turbo, prove}`): the reference interpreter
+/// first, then turbo, prove, and both last. A freshly built system runs the
+/// reference. The fast paths must be indistinguishable from it, so the
+/// functional test suites loop over this list with the reference as the
+/// oracle.
+pub const ENGINES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
 /// A complete mini-SOS machine.
 ///
 /// The whole machine state is a plain value: `Clone` gives deterministic
@@ -182,7 +191,7 @@ impl SosSystem {
             }
         };
 
-        let mut sys = SosSystem {
+        Ok(SosSystem {
             protection,
             layout,
             kernel,
@@ -200,14 +209,7 @@ impl SosSystem {
             certs_generation: 0,
             modules_installed: 0,
             modules_unloaded: 0,
-        };
-        if prove_env_default() {
-            sys.set_prove(true);
-        }
-        if turbo_env_default() {
-            sys.set_turbo(true);
-        }
-        Ok(sys)
+        })
     }
 
     /// Enables or disables store-check elision (`harbor-prove`). Under the
@@ -215,9 +217,8 @@ impl SosSystem {
     /// for every loaded module against its own state segment and publishes
     /// the union as the env's elision map: certified stores skip the MMC
     /// walk (and re-run it under `debug_assert!` parity). Execution is
-    /// cycle-, event- and state-identical either way. The default follows
-    /// the `HARBOR_PROVE` environment variable (`1` = on), so the whole
-    /// test suite can run as an elision matrix leg without code changes.
+    /// cycle-, event- and state-identical either way. Off in a freshly
+    /// built system; [`ENGINES`] lists every turbo/prove combination.
     /// A no-op outside UMPU (the SFI build elides through [`LoadPolicy`]'s
     /// `elide_certified`, which *does* change cycle counts).
     pub fn set_prove(&mut self, on: bool) {
@@ -280,9 +281,8 @@ impl SosSystem {
 
     /// Enables or disables the turbo fast-path engine (`harbor-turbo`).
     /// Execution is cycle-, event- and state-identical either way; turbo
-    /// only removes per-instruction fetch/decode work. The default follows
-    /// the `HARBOR_TURBO` environment variable (`1` = on), so the whole
-    /// test suite can run as a turbo matrix leg without code changes.
+    /// only removes per-instruction fetch/decode work. Off in a freshly
+    /// built system; [`ENGINES`] lists every turbo/prove combination.
     pub fn set_turbo(&mut self, on: bool) {
         self.turbo = if on {
             // Prime eagerly: the decoded image is shared (`Arc`) by every
@@ -1169,17 +1169,4 @@ impl SosSystem {
         }
         out
     }
-}
-
-/// Initial turbo state for freshly built systems: on when `HARBOR_TURBO=1`
-/// is set, so CI can run the entire suite as a turbo matrix leg.
-fn turbo_env_default() -> bool {
-    std::env::var_os("HARBOR_TURBO").is_some_and(|v| v == "1")
-}
-
-/// Initial elision state for freshly built systems: on when
-/// `HARBOR_PROVE=1` is set, so CI can run the entire suite as an elision
-/// matrix leg (byte-identical under UMPU, a no-op elsewhere).
-fn prove_env_default() -> bool {
-    std::env::var_os("HARBOR_PROVE").is_some_and(|v| v == "1")
 }

@@ -7,7 +7,7 @@ use avr_core::isa::{Ptr, PtrMode, Reg};
 use avr_core::Fault;
 use harbor::{fault_code, DomainId};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{JtEntry, ModuleSource, Protection, SosSystem};
+use mini_sos::{JtEntry, ModuleSource, Protection, SosSystem, ENGINES};
 
 const PRODUCER: u8 = 1;
 const CONSUMER: u8 = 4;
@@ -91,7 +91,9 @@ fn consumer(producer_state: u16) -> ModuleSource {
     }
 }
 
-fn build(p: Protection, poison: bool) -> SosSystem {
+/// The producer/consumer pair under `p` on one `(turbo, prove)` engine of
+/// [`ENGINES`], booted, with the producer's timer message queued.
+fn build(p: Protection, (turbo, prove): (bool, bool), poison: bool) -> SosSystem {
     let layout = mini_sos::SosLayout::default_layout();
     let mods = [producer(poison), consumer(layout.state_addr(PRODUCER))];
     let mut sys = SosSystem::build(p, &mods, |a, api| {
@@ -99,6 +101,8 @@ fn build(p: Protection, poison: bool) -> SosSystem {
         a.brk();
     })
     .expect("builds");
+    sys.set_prove(prove);
+    sys.set_turbo(turbo);
     sys.boot().expect("boot");
     sys.post(DomainId::num(PRODUCER), MSG_TIMER);
     sys
@@ -106,32 +110,42 @@ fn build(p: Protection, poison: bool) -> SosSystem {
 
 #[test]
 fn handoff_works_under_every_build() {
-    for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
-        let mut sys = build(p, false);
-        sys.run_to_break(10_000_000).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let cons_state = sys.layout.state_addr(CONSUMER);
-        assert_eq!(sys.sram(cons_state), 0xb4, "{p:?}: consumer doubled 0x5a in place");
-        assert_eq!(sys.sram(cons_state + 1), 0, "{p:?}: consumer's free accepted");
+    for engine @ (turbo, prove) in ENGINES {
+        for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
+            let on = format!("{p:?} turbo={turbo} prove={prove}");
+            let mut sys = build(p, engine, false);
+            sys.run_to_break(10_000_000).unwrap_or_else(|e| panic!("{on}: {e}"));
+            let cons_state = sys.layout.state_addr(CONSUMER);
+            assert_eq!(sys.sram(cons_state), 0xb4, "{on}: consumer doubled 0x5a in place");
+            assert_eq!(sys.sram(cons_state + 1), 0, "{on}: consumer's free accepted");
+        }
     }
 }
 
 #[test]
 fn producer_writing_after_handoff_is_caught() {
-    for p in [Protection::Umpu, Protection::Sfi] {
-        let mut sys = build(p, true);
-        let err = sys.run_to_break(10_000_000).unwrap_err();
-        match err {
-            Fault::Env(e) => assert_eq!(e.code, fault_code::MEM_MAP, "{p:?}"),
-            other => panic!("{p:?}: expected protection fault, got {other:?}"),
+    for engine @ (turbo, prove) in ENGINES {
+        for p in [Protection::Umpu, Protection::Sfi] {
+            let on = format!("{p:?} turbo={turbo} prove={prove}");
+            let mut sys = build(p, engine, true);
+            let err = sys.run_to_break(10_000_000).unwrap_err();
+            match err {
+                Fault::Env(e) => assert_eq!(e.code, fault_code::MEM_MAP, "{on}"),
+                other => panic!("{on}: expected protection fault, got {other:?}"),
+            }
+            // The poison byte never landed.
+            let buf = sys.sram16(sys.layout.state_addr(PRODUCER));
+            assert_eq!(sys.sram(buf), 0x5a, "{on}: buffer contents intact");
         }
-        // The poison byte never landed.
-        let buf = sys.sram16(sys.layout.state_addr(PRODUCER));
-        assert_eq!(sys.sram(buf), 0x5a, "{p:?}: buffer contents intact");
+        // On the stock AVR, the stale write lands silently.
+        let mut sys = build(Protection::None, engine, true);
+        sys.run_to_break(10_000_000).unwrap();
+        let cons_state = sys.layout.state_addr(CONSUMER);
+        // The consumer read the *poisoned* value: 0xbd doubled = 0x7a (mod 256).
+        assert_eq!(
+            sys.sram(cons_state),
+            0x7a,
+            "turbo={turbo} prove={prove}: silent corruption propagated downstream"
+        );
     }
-    // On the stock AVR, the stale write lands silently.
-    let mut sys = build(Protection::None, true);
-    sys.run_to_break(10_000_000).unwrap();
-    let cons_state = sys.layout.state_addr(CONSUMER);
-    // The consumer read the *poisoned* value: 0xbd doubled = 0x7a (mod 256).
-    assert_eq!(sys.sram(cons_state), 0x7a, "silent corruption propagated downstream");
 }

@@ -6,7 +6,7 @@
 
 use avr_core::isa::Reg;
 use harbor::DomainId;
-use mini_sos::{modules, ModuleSource, Protection, SosSystem};
+use mini_sos::{modules, ModuleSource, Protection, SosSystem, ENGINES};
 
 /// Driver app: enable interrupts and pump the scheduler until blink has
 /// counted `target` ticks, then break.
@@ -27,13 +27,18 @@ fn pump_until(target: u8) -> impl FnOnce(&mut avr_asm::Asm, &mini_sos::KernelApi
 
 #[test]
 fn timer_interrupt_drives_blink_in_all_builds() {
-    for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
-        let mut sys = SosSystem::build(p, &[modules::blink(0)], pump_until(5)).unwrap();
-        sys.boot().unwrap();
-        sys.enable_timer(500, DomainId::num(0));
-        sys.run_to_break(2_000_000).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let count = sys.sram(sys.layout.state_addr(0));
-        assert!(count >= 5, "{p:?}: blink saw {count} ticks");
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
+            let mut sys = SosSystem::build(p, &[modules::blink(0)], pump_until(5)).unwrap();
+            sys.set_prove(prove);
+            sys.set_turbo(turbo);
+            sys.boot().unwrap();
+            sys.enable_timer(500, DomainId::num(0));
+            sys.run_to_break(2_000_000).unwrap_or_else(|e| panic!("{p:?} {engine}: {e}"));
+            let count = sys.sram(sys.layout.state_addr(0));
+            assert!(count >= 5, "{p:?} {engine}: blink saw {count} ticks");
+        }
     }
 }
 
@@ -73,25 +78,30 @@ fn interrupt_preempting_a_user_domain_restores_it_exactly() {
         }
     }
 
-    for p in [Protection::Umpu, Protection::Sfi] {
-        let mods = [modules::blink(0), spinner(2)];
-        let mut sys = SosSystem::build(p, &mods, |a, api| {
-            a.sei();
-            api.run_scheduler(a);
-            a.cli();
-            a.brk();
-        })
-        .unwrap();
-        sys.boot().unwrap();
-        sys.enable_timer(700, DomainId::num(0));
-        sys.post(DomainId::num(2), mini_sos::kernel::MSG_TIMER); // start the spinner
-        sys.run_to_break(10_000_000).unwrap_or_else(|e| panic!("{p:?}: {e}"));
+    for (turbo, prove) in ENGINES {
+        for p in [Protection::Umpu, Protection::Sfi] {
+            let on = format!("{p:?} turbo={turbo} prove={prove}");
+            let mods = [modules::blink(0), spinner(2)];
+            let mut sys = SosSystem::build(p, &mods, |a, api| {
+                a.sei();
+                api.run_scheduler(a);
+                a.cli();
+                a.brk();
+            })
+            .unwrap();
+            sys.set_prove(prove);
+            sys.set_turbo(turbo);
+            sys.boot().unwrap();
+            sys.enable_timer(700, DomainId::num(0));
+            sys.post(DomainId::num(2), mini_sos::kernel::MSG_TIMER); // start the spinner
+            sys.run_to_break(10_000_000).unwrap_or_else(|e| panic!("{on}: {e}"));
 
-        let spin_state = sys.layout.state_addr(2);
-        assert_eq!(sys.sram(spin_state), 4, "{p:?}: spinner finished its loop intact");
-        assert_eq!(sys.sram(spin_state + 1), 0, "{p:?}: inner counter wrapped cleanly");
-        let blink = sys.sram(sys.layout.state_addr(0));
-        assert!(blink >= 3, "{p:?}: the timer really preempted (blink = {blink})");
+            let spin_state = sys.layout.state_addr(2);
+            assert_eq!(sys.sram(spin_state), 4, "{on}: spinner finished its loop intact");
+            assert_eq!(sys.sram(spin_state + 1), 0, "{on}: inner counter wrapped cleanly");
+            let blink = sys.sram(sys.layout.state_addr(0));
+            assert!(blink >= 3, "{on}: the timer really preempted (blink = {blink})");
+        }
     }
 }
 
@@ -99,43 +109,54 @@ fn interrupt_preempting_a_user_domain_restores_it_exactly() {
 fn umpu_interrupt_frames_balance() {
     // After the workload, the UMPU safe stack must be empty and the
     // tracker back in the trusted domain — every interrupt frame popped.
-    let mut sys = SosSystem::build(Protection::Umpu, &[modules::blink(0)], pump_until(8)).unwrap();
-    sys.boot().unwrap();
-    sys.enable_timer(300, DomainId::num(0));
-    sys.run_to_break(5_000_000).unwrap();
-    let env = sys.umpu_env().unwrap();
-    assert_eq!(env.safe_stack.used_bytes(), 0, "all frames popped");
-    assert!(env.tracker.current.is_trusted());
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        let mut sys =
+            SosSystem::build(Protection::Umpu, &[modules::blink(0)], pump_until(8)).unwrap();
+        sys.set_prove(prove);
+        sys.set_turbo(turbo);
+        sys.boot().unwrap();
+        sys.enable_timer(300, DomainId::num(0));
+        sys.run_to_break(5_000_000).unwrap();
+        let env = sys.umpu_env().unwrap();
+        assert_eq!(env.safe_stack.used_bytes(), 0, "{engine}: all frames popped");
+        assert!(env.tracker.current.is_trusted(), "{engine}: back in the trusted domain");
+    }
 }
 
 #[test]
 fn tickless_sleep_duty_cycle_ordering() {
     // SLEEP between timer wakes: protection overhead shows up as a larger
     // duty cycle for the same workload, with None < UMPU < SFI.
-    let mut duty = Vec::new();
-    for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
-        let mut sys = SosSystem::build(p, &[modules::blink(0)], |a, api| {
-            let state = api.layout.state_addr(0);
-            let idle = a.label("idle");
-            a.sei();
-            a.bind(idle);
-            a.sleep();
-            api.run_scheduler(a);
-            a.lds(Reg::R16, state);
-            a.cpi(Reg::R16, 8);
-            a.brlo(idle);
-            a.cli();
-            a.brk();
-        })
-        .unwrap();
-        sys.boot().unwrap();
-        sys.enable_timer(4000, DomainId::num(0));
-        sys.run_to_break(50_000_000).unwrap_or_else(|e| panic!("{p:?}: {e}"));
-        let total = sys.cycles();
-        let active = total - sys.idle_cycles();
-        duty.push((p, active as f64 / total as f64));
-        assert!(sys.idle_cycles() > total / 2, "{p:?}: mostly asleep");
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        let mut duty = Vec::new();
+        for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
+            let mut sys = SosSystem::build(p, &[modules::blink(0)], |a, api| {
+                let state = api.layout.state_addr(0);
+                let idle = a.label("idle");
+                a.sei();
+                a.bind(idle);
+                a.sleep();
+                api.run_scheduler(a);
+                a.lds(Reg::R16, state);
+                a.cpi(Reg::R16, 8);
+                a.brlo(idle);
+                a.cli();
+                a.brk();
+            })
+            .unwrap();
+            sys.set_prove(prove);
+            sys.set_turbo(turbo);
+            sys.boot().unwrap();
+            sys.enable_timer(4000, DomainId::num(0));
+            sys.run_to_break(50_000_000).unwrap_or_else(|e| panic!("{p:?} {engine}: {e}"));
+            let total = sys.cycles();
+            let active = total - sys.idle_cycles();
+            duty.push((p, active as f64 / total as f64));
+            assert!(sys.idle_cycles() > total / 2, "{p:?} {engine}: mostly asleep");
+        }
+        assert!(duty[0].1 < duty[1].1, "{engine}: UMPU duty > unprotected: {duty:?}");
+        assert!(duty[1].1 < duty[2].1, "{engine}: SFI duty > UMPU: {duty:?}");
     }
-    assert!(duty[0].1 < duty[1].1, "UMPU duty > unprotected: {duty:?}");
-    assert!(duty[1].1 < duty[2].1, "SFI duty > UMPU: {duty:?}");
 }

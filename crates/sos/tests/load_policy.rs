@@ -7,7 +7,7 @@ use harbor::DomainId;
 use harbor_flow::CfgVerifier;
 use mini_sos::kernel::MSG_TIMER;
 use mini_sos::loader::load_module_with_policy;
-use mini_sos::{modules, LoadError, LoadPolicy, Protection, SosLayout, SosSystem};
+use mini_sos::{modules, LoadError, LoadPolicy, Protection, SosLayout, SosSystem, ENGINES};
 
 fn scheduler_app(a: &mut avr_asm::Asm, api: &mini_sos::KernelApi) {
     api.run_scheduler(a);
@@ -16,51 +16,69 @@ fn scheduler_app(a: &mut avr_asm::Asm, api: &mini_sos::KernelApi) {
 
 #[test]
 fn module_exceeding_allotment_is_rejected_with_typed_error() {
-    let mut sys = SosSystem::build(Protection::Sfi, &[], scheduler_app).unwrap();
-    sys.boot().unwrap();
-    // Every SFI module needs at least its 5-byte inbound cross-domain
-    // frame plus a 2-byte save-ret frame: a 6-byte allotment admits nothing.
-    sys.set_load_policy(Some(LoadPolicy::with_allotment(6)));
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        let mut sys = SosSystem::build(Protection::Sfi, &[], scheduler_app).unwrap();
+        sys.set_prove(prove);
+        sys.set_turbo(turbo);
+        sys.boot().unwrap();
+        // Every SFI module needs at least its 5-byte inbound cross-domain
+        // frame plus a 2-byte save-ret frame: a 6-byte allotment admits nothing.
+        sys.set_load_policy(Some(LoadPolicy::with_allotment(6)));
 
-    let err = sys.load_module(&modules::blink(0)).unwrap_err();
-    match err {
-        LoadError::StackBound { name, certified, allotment } => {
-            assert_eq!(name, "blink");
-            assert_eq!(allotment, 6);
-            assert!(certified > 6, "certified bound {certified} must exceed the allotment");
+        let err = sys.load_module(&modules::blink(0)).unwrap_err();
+        match err {
+            LoadError::StackBound { name, certified, allotment } => {
+                assert_eq!(name, "blink", "{engine}");
+                assert_eq!(allotment, 6, "{engine}");
+                assert!(
+                    certified > 6,
+                    "{engine}: certified bound {certified} must exceed the allotment"
+                );
+            }
+            other => panic!("{engine}: expected StackBound, got: {other}"),
         }
-        other => panic!("expected StackBound, got: {other}"),
+        assert!(sys.modules.is_empty(), "{engine}: rejected module must not be installed");
     }
-    assert!(sys.modules.is_empty(), "rejected module must not be installed");
 }
 
 #[test]
 fn generous_allotment_admits_and_module_runs() {
-    let mut sys = SosSystem::build(Protection::Sfi, &[], scheduler_app).unwrap();
-    sys.boot().unwrap();
-    sys.set_load_policy(Some(LoadPolicy::with_allotment(64)));
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        let mut sys = SosSystem::build(Protection::Sfi, &[], scheduler_app).unwrap();
+        sys.set_prove(prove);
+        sys.set_turbo(turbo);
+        sys.boot().unwrap();
+        sys.set_load_policy(Some(LoadPolicy::with_allotment(64)));
 
-    sys.load_module(&modules::blink(0)).expect("blink fits a 64-byte allotment");
-    assert_eq!(sys.modules.len(), 1);
+        sys.load_module(&modules::blink(0)).expect("blink fits a 64-byte allotment");
+        assert_eq!(sys.modules.len(), 1, "{engine}: blink admitted");
 
-    // The admitted module actually runs: deliver init + one timer tick.
-    sys.steer(sys.symbol("ker_boot_done") + 1);
-    sys.run_to_break(10_000_000).unwrap();
-    sys.post(DomainId::num(0), MSG_TIMER);
-    sys.steer(sys.symbol("ker_boot_done") + 1);
-    sys.run_to_break(10_000_000).unwrap();
-    let state = sys.layout.state_addr(0);
-    assert!(sys.sram(state) > 0, "blink counted at least one tick");
+        // The admitted module actually runs: deliver init + one timer tick.
+        sys.steer(sys.symbol("ker_boot_done") + 1);
+        sys.run_to_break(10_000_000).unwrap();
+        sys.post(DomainId::num(0), MSG_TIMER);
+        sys.steer(sys.symbol("ker_boot_done") + 1);
+        sys.run_to_break(10_000_000).unwrap();
+        let state = sys.layout.state_addr(0);
+        assert!(sys.sram(state) > 0, "{engine}: blink counted at least one tick");
+    }
 }
 
 #[test]
 fn policy_is_inert_outside_sfi() {
-    for p in [Protection::None, Protection::Umpu] {
-        let mut sys = SosSystem::build(p, &[], scheduler_app).unwrap();
-        sys.boot().unwrap();
-        sys.set_load_policy(Some(LoadPolicy::with_allotment(1)));
-        sys.load_module(&modules::blink(0))
-            .unwrap_or_else(|e| panic!("{p:?}: gate must not apply: {e}"));
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        for p in [Protection::None, Protection::Umpu] {
+            let mut sys = SosSystem::build(p, &[], scheduler_app).unwrap();
+            sys.set_prove(prove);
+            sys.set_turbo(turbo);
+            sys.boot().unwrap();
+            sys.set_load_policy(Some(LoadPolicy::with_allotment(1)));
+            sys.load_module(&modules::blink(0))
+                .unwrap_or_else(|e| panic!("{p:?} {engine}: gate must not apply: {e}"));
+        }
     }
 }
 

@@ -12,23 +12,9 @@ echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test -q"
+# The functional suites sweep every engine in mini_sos::ENGINES (reference,
+# turbo, prove, turbo+prove) in-process, with the reference as the oracle.
 cargo test --workspace -q
-
-echo "== cargo test -q (HARBOR_TURBO=1 matrix leg)"
-# Same systems, stepped through the harbor-turbo fast path: every identity
-# and kernel test must pass with the engine substituted in.
-HARBOR_TURBO=1 cargo test -q -p mini-sos -p harbor-sfi -p harbor-fleet -p harbor-repro
-
-echo "== cargo test -q (HARBOR_PROVE=1 matrix leg)"
-# Same systems with certified-store elision substituted in: UMPU elision is
-# byte-identical, so every kernel and identity test must still pass.
-HARBOR_PROVE=1 cargo test -q -p mini-sos -p harbor-sfi -p harbor-fleet -p harbor-repro
-
-echo "== cargo test -q (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg, tower attached)"
-# Both substitutions at once, exercised through the tower pipeline: the
-# fleet_tower suite attaches the aggregator to turbo+prove fleets and
-# reconciles every rolled-up counter against raw telemetry.
-HARBOR_TURBO=1 HARBOR_PROVE=1 cargo test -q -p harbor-repro --test fleet_tower
 
 echo "== harbor_prove --check"
 # Gate: store certificates are deterministic, per-module elision rates
@@ -57,13 +43,8 @@ echo "== harbor-pulse --check"
 # finish ≤ step), the idle-work ledger exactly matches a host-side census
 # and the post-quiescence radio delta, and pulse-enabled runs keep fleet
 # telemetry byte-identical to pulse-off runs across serial and parallel
-# stepping.
+# stepping. Every gate runs on the reference engine and on turbo+prove.
 cargo run -q --release -p harbor-fleet --bin harbor-pulse -- --check
-
-echo "== harbor-pulse --check (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg)"
-# Same gate with both execution substitutions active: profiling must stay
-# observational no matter which engine steps the nodes.
-HARBOR_TURBO=1 HARBOR_PROVE=1 cargo run -q --release -p harbor-fleet --bin harbor-pulse -- --check
 
 echo "== harbor-helm --check"
 # Gate: on a 512-node 8-cohort fleet a healthy image promotes through the
@@ -71,13 +52,9 @@ echo "== harbor-helm --check"
 # canary node restored to its exact pre-rollout flash generation (and no
 # other node ever flashed), decision logs are byte-identical across
 # serial/parallel stepping, shard counts, turbo and prove, and a fleet
-# with an idle controller attached reports byte-identical telemetry.
+# with an idle controller attached reports byte-identical telemetry. The
+# 512-node campaign gates run on the reference engine and on turbo+prove.
 cargo run -q --release -p harbor-helm --bin harbor-helm -- --check
-
-echo "== harbor-helm --check (HARBOR_TURBO=1 HARBOR_PROVE=1 combined leg)"
-# Same gate with both execution substitutions active: the control plane
-# must reach the same decisions no matter which engine steps the nodes.
-HARBOR_TURBO=1 HARBOR_PROVE=1 cargo run -q --release -p harbor-helm --bin harbor-helm -- --check
 
 echo "== harbor_benchmark tests and default-seed pins"
 # The benchmark is its own package (outside the workspace), so the steps

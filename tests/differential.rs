@@ -1,11 +1,12 @@
 //! Differential tests: the kernel's AVR-assembly allocator, running on the
 //! simulator under UMPU and SFI, must leave the RAM-resident memory map
 //! byte-for-byte identical to a host-level reference allocator driving the
-//! golden-model [`harbor::MemoryMap`] through the same operation sequence.
+//! golden-model [`harbor::MemoryMap`] through the same operation sequence,
+//! on every engine of [`ENGINES`].
 
 use avr_core::isa::Reg;
 use harbor::{DomainId, MemMapConfig, MemoryMap};
-use mini_sos::{JtEntry, Protection, SosLayout, SosSystem};
+use mini_sos::{JtEntry, Protection, SosLayout, SosSystem, ENGINES};
 use proptest::prelude::*;
 
 /// Scratch where the driver app records malloc results (8 pointer slots).
@@ -98,9 +99,10 @@ impl ReferenceAllocator {
     }
 }
 
-/// Runs the op sequence on a simulated kernel and returns the final
-/// RAM-resident memory-map bytes plus the recorded pointers.
-fn run_simulated(p: Protection, ops: &[Op]) -> (Vec<u8>, Vec<u16>) {
+/// Runs the op sequence on a simulated kernel under `p` on one
+/// `(turbo, prove)` engine and returns the final RAM-resident memory-map
+/// bytes plus the recorded pointers.
+fn run_simulated(p: Protection, (turbo, prove): (bool, bool), ops: &[Op]) -> (Vec<u8>, Vec<u16>) {
     let ops = ops.to_vec();
     let mut sys = SosSystem::build(p, &[], move |a, api| {
         let mut slot_count = 0usize;
@@ -139,6 +141,8 @@ fn run_simulated(p: Protection, ops: &[Op]) -> (Vec<u8>, Vec<u16>) {
         a.brk();
     })
     .expect("system builds");
+    sys.set_prove(prove);
+    sys.set_turbo(turbo);
     sys.boot().expect("boot");
     sys.run_to_break(50_000_000).expect("ops run");
 
@@ -193,19 +197,23 @@ proptest! {
     /// The simulated UMPU kernel agrees byte-for-byte with the reference.
     #[test]
     fn umpu_kernel_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..10)) {
-        let (sim_map, sim_ptrs) = run_simulated(Protection::Umpu, &ops);
         let (ref_map, ref_ptrs) = run_reference(&ops);
-        prop_assert_eq!(sim_ptrs, ref_ptrs, "allocation placement");
-        prop_assert_eq!(sim_map, ref_map, "memory-map contents");
+        for engine @ (turbo, prove) in ENGINES {
+            let (sim_map, sim_ptrs) = run_simulated(Protection::Umpu, engine, &ops);
+            prop_assert_eq!(&sim_ptrs, &ref_ptrs, "turbo={} prove={}: allocation placement", turbo, prove);
+            prop_assert_eq!(&sim_map, &ref_map, "turbo={} prove={}: memory-map contents", turbo, prove);
+        }
     }
 
     /// The SFI build makes identical allocation decisions and map updates.
     #[test]
     fn sfi_kernel_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..8)) {
-        let (sim_map, sim_ptrs) = run_simulated(Protection::Sfi, &ops);
         let (ref_map, ref_ptrs) = run_reference(&ops);
-        prop_assert_eq!(sim_ptrs, ref_ptrs, "allocation placement");
-        prop_assert_eq!(sim_map, ref_map, "memory-map contents");
+        for engine @ (turbo, prove) in ENGINES {
+            let (sim_map, sim_ptrs) = run_simulated(Protection::Sfi, engine, &ops);
+            prop_assert_eq!(&sim_ptrs, &ref_ptrs, "turbo={} prove={}: allocation placement", turbo, prove);
+            prop_assert_eq!(&sim_map, &ref_map, "turbo={} prove={}: memory-map contents", turbo, prove);
+        }
     }
 }
 
@@ -218,10 +226,12 @@ fn deterministic_sequence_sanity() {
         Op::Malloc { size: 5, owner: 3 }, // reuses slot 0's blocks
         Op::ChangeOwn { slot: 1, new_owner: 5 },
     ];
-    let (umpu_map, umpu_ptrs) = run_simulated(Protection::Umpu, &ops);
     let (ref_map, ref_ptrs) = run_reference(&ops);
-    assert_eq!(umpu_ptrs, ref_ptrs);
-    assert_eq!(umpu_map, ref_map);
+    for engine @ (turbo, prove) in ENGINES {
+        let (umpu_map, umpu_ptrs) = run_simulated(Protection::Umpu, engine, &ops);
+        assert_eq!(umpu_ptrs, ref_ptrs, "turbo={turbo} prove={prove}: allocation placement");
+        assert_eq!(umpu_map, ref_map, "turbo={turbo} prove={prove}: memory-map contents");
+    }
     // First-fit reuse: the third allocation went where the first had been.
-    assert_eq!(umpu_ptrs[2], umpu_ptrs[0]);
+    assert_eq!(ref_ptrs[2], ref_ptrs[0]);
 }

@@ -1,6 +1,7 @@
 //! Fault-injection matrix: a module performs one wild write into each
 //! region class of the address space; UMPU and SFI must both block it and
-//! report the same fault class. Benign variants must pass everywhere.
+//! report the same fault class. Benign variants must pass everywhere, and
+//! every engine of [`ENGINES`] must agree.
 //!
 //! The randomized sweep is reproducible from a single u64 seed: set
 //! `HARBOR_SEED=n cargo test --test fault_injection` to replay a run
@@ -10,7 +11,7 @@ use avr_core::isa::Reg;
 use avr_core::Fault;
 use harbor::{fault_code, DomainId};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{ModuleSource, Protection, SosSystem};
+use mini_sos::{ModuleSource, Protection, SosSystem, ENGINES};
 use rand::{Rng, SeedableRng, StdRng};
 
 const DOM: u8 = 2;
@@ -43,19 +44,22 @@ fn wild_writer(target: u16) -> ModuleSource {
     }
 }
 
-/// Runs the wild writer under `p`; returns the fault code (None = clean).
-fn outcome(p: Protection, target: u16) -> Option<u16> {
+/// Runs the wild writer under `p` on one `(turbo, prove)` engine; returns
+/// the fault code (None = clean).
+fn outcome(p: Protection, (turbo, prove): (bool, bool), target: u16) -> Option<u16> {
     let mut sys = SosSystem::build(p, &[wild_writer(target)], |a, api| {
         api.run_scheduler(a);
         a.brk();
     })
     .expect("builds");
+    sys.set_prove(prove);
+    sys.set_turbo(turbo);
     sys.boot().expect("boot");
     sys.post(DomainId::num(DOM), MSG_TIMER);
     match sys.run_to_break(10_000_000) {
         Ok(_) => None,
         Err(Fault::Env(e)) => Some(e.code),
-        Err(other) => panic!("{p:?}: unexpected failure: {other}"),
+        Err(other) => panic!("{p:?} turbo={turbo} prove={prove}: unexpected failure: {other}"),
     }
 }
 
@@ -73,13 +77,16 @@ fn wild_write_matrix() {
         ("safe stack", layout.prot.safe_stack_base + 4, Some(fault_code::MEM_MAP)),
         ("caller's stack frames", avr_core::mem::RAMEND, Some(fault_code::STACK_BOUND)),
     ];
-    for p in [Protection::Umpu, Protection::Sfi] {
-        for (what, target, expect) in cases {
-            let got = outcome(p, *target);
-            assert_eq!(
-                got, *expect,
-                "{p:?}: wild write to {what} ({target:#06x}): got {got:?}, expected {expect:?}"
-            );
+    for engine @ (turbo, prove) in ENGINES {
+        for p in [Protection::Umpu, Protection::Sfi] {
+            for (what, target, expect) in cases {
+                let got = outcome(p, engine, *target);
+                assert_eq!(
+                    got, *expect,
+                    "{p:?} turbo={turbo} prove={prove}: wild write to {what} ({target:#06x}): \
+                     got {got:?}, expected {expect:?}"
+                );
+            }
         }
     }
 }
@@ -87,17 +94,26 @@ fn wild_write_matrix() {
 #[test]
 fn unprotected_build_lets_every_wild_write_through() {
     let layout = mini_sos::SosLayout::default_layout();
-    for target in [layout.heap_base() + 0x80, layout.state_addr(5), layout.prot.safe_stack_base + 4]
-    {
-        let mut sys = SosSystem::build(Protection::None, &[wild_writer(target)], |a, api| {
-            api.run_scheduler(a);
-            a.brk();
-        })
-        .unwrap();
-        sys.boot().unwrap();
-        sys.post(DomainId::num(DOM), MSG_TIMER);
-        sys.run_to_break(10_000_000).unwrap();
-        assert_eq!(sys.sram(target), 0xee, "stock AVR: the write landed at {target:#06x}");
+    for (turbo, prove) in ENGINES {
+        for target in
+            [layout.heap_base() + 0x80, layout.state_addr(5), layout.prot.safe_stack_base + 4]
+        {
+            let mut sys = SosSystem::build(Protection::None, &[wild_writer(target)], |a, api| {
+                api.run_scheduler(a);
+                a.brk();
+            })
+            .unwrap();
+            sys.set_prove(prove);
+            sys.set_turbo(turbo);
+            sys.boot().unwrap();
+            sys.post(DomainId::num(DOM), MSG_TIMER);
+            sys.run_to_break(10_000_000).unwrap();
+            assert_eq!(
+                sys.sram(target),
+                0xee,
+                "turbo={turbo} prove={prove}: stock AVR: the write landed at {target:#06x}"
+            );
+        }
     }
 }
 
@@ -107,10 +123,15 @@ fn umpu_and_sfi_agree_on_every_case() {
     // policy (the matrix above asserts this pairwise; this test makes the
     // property explicit over a denser target sweep).
     let layout = mini_sos::SosLayout::default_layout();
-    for target in (0x0062..0x0fff).step_by(251) {
-        let u = outcome(Protection::Umpu, target);
-        let s = outcome(Protection::Sfi, target);
-        assert_eq!(u, s, "divergence at {target:#06x}: UMPU {u:?} vs SFI {s:?}");
+    for engine @ (turbo, prove) in ENGINES {
+        for target in (0x0062..0x0fff).step_by(251) {
+            let u = outcome(Protection::Umpu, engine, target);
+            let s = outcome(Protection::Sfi, engine, target);
+            assert_eq!(
+                u, s,
+                "turbo={turbo} prove={prove}: divergence at {target:#06x}: UMPU {u:?} vs SFI {s:?}"
+            );
+        }
     }
     let _ = layout;
 }
@@ -124,8 +145,14 @@ fn umpu_and_sfi_agree_on_seeded_random_targets() {
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..24 {
         let target = rng.gen_range(0x0062u16..0x0fff);
-        let u = outcome(Protection::Umpu, target);
-        let s = outcome(Protection::Sfi, target);
-        assert_eq!(u, s, "seed {seed}: divergence at {target:#06x}: UMPU {u:?} vs SFI {s:?}");
+        for engine @ (turbo, prove) in ENGINES {
+            let u = outcome(Protection::Umpu, engine, target);
+            let s = outcome(Protection::Sfi, engine, target);
+            assert_eq!(
+                u, s,
+                "seed {seed} turbo={turbo} prove={prove}: divergence at {target:#06x}: \
+                 UMPU {u:?} vs SFI {s:?}"
+            );
+        }
     }
 }

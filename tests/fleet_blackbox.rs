@@ -2,13 +2,14 @@
 //! byte-identical between serial and parallel runs, faults and dumps must
 //! pair one-to-one, and — as a property over random seeds, loss rates and
 //! fault patterns — Lamport stamps must strictly increase along every
-//! happens-before edge of the fleet's causal DAG.
+//! happens-before edge of the fleet's causal DAG. Every test runs on each
+//! engine of [`ENGINES`].
 
 use harbor::DomainId;
 use harbor_blackbox::{build_edges, check_monotone, Postmortem};
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 use proptest::prelude::*;
 
 const NODES: usize = 8;
@@ -23,8 +24,10 @@ fn seed() -> u64 {
 
 /// A fleet under the full blackbox, with Blink everywhere, the faulting
 /// Surge on every node, and an OTA dissemination mid-run so the causal
-/// logs carry real radio traffic.
-fn run(seed: u64, loss: f64, threads: usize, fault_rounds: &[u64]) -> Fleet {
+/// logs carry real radio traffic. `engine` is a `(turbo, prove)` pair of
+/// [`ENGINES`].
+fn run(seed: u64, loss: f64, threads: usize, engine: (bool, bool), fault_rounds: &[u64]) -> Fleet {
+    let (turbo, prove) = engine;
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
@@ -32,6 +35,8 @@ fn run(seed: u64, loss: f64, threads: usize, fault_rounds: &[u64]) -> Fleet {
         net: NetConfig { loss, ..NetConfig::default() },
         threads,
         blackbox: Some(BlackboxConfig::default()),
+        turbo,
+        prove,
         ..FleetConfig::default()
     };
     let mut fleet =
@@ -58,17 +63,20 @@ fn run(seed: u64, loss: f64, threads: usize, fault_rounds: &[u64]) -> Fleet {
 
 #[test]
 fn every_fault_freezes_exactly_one_dump() {
-    let mut fleet = run(seed(), 0.1, 1, &[8, 16]);
-    let telemetry = fleet.telemetry();
-    let faults = telemetry.total(harbor_fleet::NodeTelemetry::faults);
-    let dumps = fleet.dumps();
-    assert!(faults > 0, "the scenario faults");
-    assert_eq!(faults, dumps.len() as u64, "one dump per fault");
-    for dump in &dumps {
-        assert_eq!(dump.protection, "umpu");
-        assert!(!dump.events.is_empty(), "the ring captured the lead-up");
-        let back = Postmortem::from_json(&dump.to_json()).expect("round-trips");
-        assert_eq!(&back, dump, "dump JSON is lossless");
+    for engine @ (turbo, prove) in ENGINES {
+        let on = format!("turbo={turbo} prove={prove}");
+        let mut fleet = run(seed(), 0.1, 1, engine, &[8, 16]);
+        let telemetry = fleet.telemetry();
+        let faults = telemetry.total(harbor_fleet::NodeTelemetry::faults);
+        let dumps = fleet.dumps();
+        assert!(faults > 0, "{on}: the scenario faults");
+        assert_eq!(faults, dumps.len() as u64, "{on}: one dump per fault");
+        for dump in &dumps {
+            assert_eq!(dump.protection, "umpu", "{on}");
+            assert!(!dump.events.is_empty(), "{on}: the ring captured the lead-up");
+            let back = Postmortem::from_json(&dump.to_json()).expect("round-trips");
+            assert_eq!(&back, dump, "{on}: dump JSON is lossless");
+        }
     }
 }
 
@@ -80,59 +88,73 @@ fn watchdog_fires_exactly_twice_across_two_bursts() {
     // The rising-edge detector must raise exactly two FaultRate alerts —
     // one per burst — and nothing else (loss is 0, so no retransmits).
     const BURSTS: [std::ops::RangeInclusive<u64>; 2] = [0..=2, 11..=13];
-    let cfg = FleetConfig {
-        nodes: 4,
-        protection: Protection::Umpu,
-        seed: seed(),
-        net: NetConfig { loss: 0.0, ..NetConfig::default() },
-        threads: 1,
-        blackbox: Some(BlackboxConfig::default()),
-        ..FleetConfig::default()
-    };
-    let mut fleet =
-        Fleet::new(&cfg, &[modules::blink(0), modules::surge(3, 2)]).expect("fleet builds");
-    for round in 0..20 {
-        fleet.post_all(DomainId::num(0), MSG_TIMER);
-        if BURSTS.iter().any(|b| b.contains(&round)) {
-            fleet.post(0, DomainId::num(3), MSG_TIMER);
+    for (turbo, prove) in ENGINES {
+        let on = format!("turbo={turbo} prove={prove}");
+        let cfg = FleetConfig {
+            nodes: 4,
+            protection: Protection::Umpu,
+            seed: seed(),
+            net: NetConfig { loss: 0.0, ..NetConfig::default() },
+            threads: 1,
+            blackbox: Some(BlackboxConfig::default()),
+            turbo,
+            prove,
+            ..FleetConfig::default()
+        };
+        let mut fleet =
+            Fleet::new(&cfg, &[modules::blink(0), modules::surge(3, 2)]).expect("fleet builds");
+        for round in 0..20 {
+            fleet.post_all(DomainId::num(0), MSG_TIMER);
+            if BURSTS.iter().any(|b| b.contains(&round)) {
+                fleet.post(0, DomainId::num(3), MSG_TIMER);
+            }
+            fleet.step_round();
         }
-        fleet.step_round();
+        let alerts = fleet.alerts();
+        let fault_alerts: Vec<_> =
+            alerts.iter().filter(|a| a.kind == harbor_blackbox::AlertKind::FaultRate).collect();
+        assert_eq!(fault_alerts.len(), 2, "{on}: one alert per burst: {fault_alerts:?}");
+        for (alert, burst) in fault_alerts.iter().zip(&BURSTS) {
+            assert_eq!(alert.node, 0, "{on}");
+            // The edge is the third fault of the burst: 3 > the budget of 2.
+            assert_eq!(alert.round, *burst.end(), "{on}");
+            assert_eq!(alert.value, 3, "{on}");
+            assert_eq!(alert.limit, 2, "{on}");
+        }
+        assert!(
+            !alerts.iter().any(|a| a.kind == harbor_blackbox::AlertKind::RetransmitRate),
+            "{on}: a lossless radio never retransmits"
+        );
     }
-    let alerts = fleet.alerts();
-    let fault_alerts: Vec<_> =
-        alerts.iter().filter(|a| a.kind == harbor_blackbox::AlertKind::FaultRate).collect();
-    assert_eq!(fault_alerts.len(), 2, "one alert per burst: {fault_alerts:?}");
-    for (alert, burst) in fault_alerts.iter().zip(&BURSTS) {
-        assert_eq!(alert.node, 0);
-        // The edge is the third fault of the burst: 3 > the budget of 2.
-        assert_eq!(alert.round, *burst.end());
-        assert_eq!(alert.value, 3);
-        assert_eq!(alert.limit, 2);
-    }
-    assert!(
-        !alerts.iter().any(|a| a.kind == harbor_blackbox::AlertKind::RetransmitRate),
-        "a lossless radio never retransmits"
-    );
 }
 
 #[test]
 fn serial_and_parallel_dumps_are_byte_identical() {
     let s = seed();
-    let serial: Vec<String> =
-        run(s, 0.1, 1, &[8, 16]).dumps().iter().map(Postmortem::to_json).collect();
-    let parallel: Vec<String> =
-        run(s, 0.1, 4, &[8, 16]).dumps().iter().map(Postmortem::to_json).collect();
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "dump bytes must not depend on the schedule");
+    for engine @ (turbo, prove) in ENGINES {
+        let dumps = |threads: usize| -> Vec<String> {
+            run(s, 0.1, threads, engine, &[8, 16]).dumps().iter().map(Postmortem::to_json).collect()
+        };
+        let serial = dumps(1);
+        assert!(!serial.is_empty(), "turbo={turbo} prove={prove}: the scenario dumps");
+        assert_eq!(
+            serial,
+            dumps(4),
+            "turbo={turbo} prove={prove}: dump bytes must not depend on the schedule"
+        );
+    }
 }
 
 #[test]
 fn causal_trace_is_deterministic_and_has_message_edges() {
     let s = seed();
-    let serial = run(s, 0.1, 1, &[8]).causal_trace();
-    let parallel = run(s, 0.1, 4, &[8]).causal_trace();
-    assert_eq!(serial, parallel, "chrome trace must not depend on the schedule");
-    assert!(serial.contains("\"ph\":\"s\""), "flow arrows present");
+    for engine @ (turbo, prove) in ENGINES {
+        let on = format!("turbo={turbo} prove={prove}");
+        let serial = run(s, 0.1, 1, engine, &[8]).causal_trace();
+        let parallel = run(s, 0.1, 4, engine, &[8]).causal_trace();
+        assert_eq!(serial, parallel, "{on}: chrome trace must not depend on the schedule");
+        assert!(serial.contains("\"ph\":\"s\""), "{on}: flow arrows present");
+    }
 }
 
 proptest! {
@@ -150,10 +172,18 @@ proptest! {
         fault_round in 0u64..18,
         threads in 1usize..5,
     ) {
-        let mut fleet = run(s, f64::from(loss_pct) / 100.0, threads, &[fault_round]);
-        let logs = fleet.causal_logs();
-        let edges = build_edges(&logs);
-        prop_assert!(edges.iter().any(|e| e.message), "radio traffic produced message edges");
-        prop_assert!(check_monotone(&logs).is_ok(), "{:?}", check_monotone(&logs));
+        for engine @ (turbo, prove) in ENGINES {
+            let mut fleet = run(s, f64::from(loss_pct) / 100.0, threads, engine, &[fault_round]);
+            let logs = fleet.causal_logs();
+            let edges = build_edges(&logs);
+            prop_assert!(
+                edges.iter().any(|e| e.message),
+                "turbo={} prove={}: radio traffic produced message edges", turbo, prove
+            );
+            prop_assert!(
+                check_monotone(&logs).is_ok(),
+                "turbo={} prove={}: {:?}", turbo, prove, check_monotone(&logs)
+            );
+        }
     }
 }

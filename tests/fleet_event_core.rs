@@ -12,7 +12,8 @@
 //! must drain while its node has nothing else to do, a rollback that
 //! restores machines behind sleeping nodes, a recorder that polls on a
 //! snapshot schedule, nodes that nothing ever wakes after round 0, and a
-//! post made through `with_node` rather than `Fleet::post`.
+//! post made through `with_node` rather than `Fleet::post`. Every scenario
+//! runs on each engine of [`ENGINES`].
 
 use harbor::DomainId;
 use harbor_blackbox::{Alert, AlertKind, CausalLog, Postmortem, RecorderConfig, WatchdogConfig};
@@ -20,7 +21,7 @@ use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, T
 use harbor_helm::{HelmRun, PlanConfig, RolloutState};
 use harbor_pulse::RoundLedger;
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 
 const NODES: usize = 16;
 const BLINK: u8 = 0;
@@ -67,16 +68,25 @@ fn observe(fleet: &mut Fleet, helm_log: Option<String>) -> Observed {
     }
 }
 
-fn config(threads: usize) -> FleetConfig {
+/// The fleet every scenario starts from, stepped by `threads` workers on
+/// one `(turbo, prove)` engine of [`ENGINES`].
+fn config(threads: usize, (turbo, prove): (bool, bool)) -> FleetConfig {
     FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
         seed: 0xe7e47,
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
+        turbo,
+        prove,
         pulse: true,
         ..FleetConfig::default()
     }
+}
+
+/// Names `cfg`'s engine in assertion messages.
+fn engine(cfg: &FleetConfig) -> String {
+    format!("turbo={} prove={}", cfg.turbo, cfg.prove)
 }
 
 fn step(fleet: &mut Fleet, schedule: Schedule) {
@@ -88,15 +98,19 @@ fn step(fleet: &mut Fleet, schedule: Schedule) {
     fleet.step_round();
 }
 
-/// Runs `scenario` under both schedules at one and four threads and
-/// requires all four observations to match.
-fn assert_oracle_agrees(name: &str, scenario: impl Fn(Schedule, usize) -> Observed) {
-    let reference = scenario(Schedule::AllAwake, 1);
-    for (schedule, threads) in
-        [(Schedule::EventDriven, 1), (Schedule::EventDriven, 4), (Schedule::AllAwake, 4)]
-    {
-        let seen = scenario(schedule, threads);
-        assert!(seen == reference, "{name}: {schedule:?} at {threads} threads diverged");
+/// Runs `scenario` under both schedules at one and four threads on every
+/// engine, and requires each engine's four observations to match.
+fn assert_oracle_agrees(name: &str, scenario: impl Fn(Schedule, FleetConfig) -> Observed) {
+    for e in ENGINES {
+        let reference = scenario(Schedule::AllAwake, config(1, e));
+        for (schedule, threads) in
+            [(Schedule::EventDriven, 1), (Schedule::EventDriven, 4), (Schedule::AllAwake, 4)]
+        {
+            let cfg = config(threads, e);
+            let on = engine(&cfg);
+            let seen = scenario(schedule, cfg);
+            assert!(seen == reference, "{name} {on}: {schedule:?} at {threads} threads diverged");
+        }
     }
 }
 
@@ -106,11 +120,11 @@ fn assert_oracle_agrees(name: &str, scenario: impl Fn(Schedule, usize) -> Observ
 /// victims have nothing to do, so only the watchdog rule keeps them
 /// stepping while their fault windows drain; the second burst fires a
 /// second alert only if the first one re-armed on time.
-fn crash_loop(schedule: Schedule, threads: usize) -> Observed {
+fn crash_loop(schedule: Schedule, base: FleetConfig) -> Observed {
     let cfg = FleetConfig {
         blackbox: Some(BlackboxConfig::default()),
         tower: Some(TowerConfig::default()),
-        ..config(threads)
+        ..base
     };
     let window = WatchdogConfig::default().window as u64;
     let mut fleet =
@@ -134,7 +148,7 @@ fn crash_loop(schedule: Schedule, threads: usize) -> Observed {
     let seen = observe(&mut fleet, None);
     let fault_alerts =
         seen.alerts.iter().filter(|a| a.node == 1 && a.kind == AlertKind::FaultRate).count();
-    assert_eq!(fault_alerts, 2, "{schedule:?}: one alert per burst on node 1");
+    assert_eq!(fault_alerts, 2, "{schedule:?} {}: one alert per burst on node 1", engine(&cfg));
     seen
 }
 
@@ -148,8 +162,8 @@ fn watchdog_windows_drain_on_idle_nodes() {
 /// blackbox is attached, so no watchdog keeps the canaries awake: only the
 /// rollback's wake makes the restored machines' counters reach their
 /// telemetry.
-fn canary_rollback(schedule: Schedule, threads: usize) -> Observed {
-    let cfg = FleetConfig { cohorts: 4, tower: Some(TowerConfig::default()), ..config(threads) };
+fn canary_rollback(schedule: Schedule, base: FleetConfig) -> Observed {
+    let cfg = FleetConfig { cohorts: 4, tower: Some(TowerConfig::default()), ..base };
     let fleet =
         Fleet::new(&cfg, &[modules::blink(BLINK), modules::tree_routing(1)]).expect("builds");
     let mut run = HelmRun::new(fleet);
@@ -191,7 +205,7 @@ fn canary_rollback(schedule: Schedule, threads: usize) -> Observed {
         step_helm(&mut run);
     }
     let helm = run.helm().expect("campaign ran");
-    assert_eq!(helm.state(), RolloutState::RolledBack);
+    assert_eq!(helm.state(), RolloutState::RolledBack, "{schedule:?} {}", engine(&cfg));
     let helm_log = helm.log_json();
     observe(run.fleet_mut(), Some(helm_log))
 }
@@ -205,12 +219,12 @@ fn rollback_wakes_the_restored_nodes() {
 /// interval 0, on every poll that saw new events) over sparse traffic:
 /// polls of sleeping nodes must be exactly the polls the oracle makes
 /// to no effect. A fault mid-run freezes the snapshots into a dump.
-fn snapshots(interval: u64) -> impl Fn(Schedule, usize) -> Observed {
-    move |schedule, threads| {
+fn snapshots(interval: u64) -> impl Fn(Schedule, FleetConfig) -> Observed {
+    move |schedule, base| {
         let recorder = RecorderConfig { snapshot_interval: interval, ..RecorderConfig::default() };
         let cfg = FleetConfig {
             blackbox: Some(BlackboxConfig { recorder, ..BlackboxConfig::default() }),
-            ..config(threads)
+            ..base
         };
         let mut fleet =
             Fleet::new(&cfg, &[modules::blink(BLINK), modules::surge(SURGE, 2)]).expect("builds");
@@ -222,7 +236,7 @@ fn snapshots(interval: u64) -> impl Fn(Schedule, usize) -> Observed {
             step(&mut fleet, schedule);
         }
         let seen = observe(&mut fleet, None);
-        assert_eq!(seen.dumps.len(), 1, "the surge fault froze one dump");
+        assert_eq!(seen.dumps.len(), 1, "{}: the surge fault froze one dump", engine(&cfg));
         seen
     }
 }
@@ -237,9 +251,9 @@ fn recorder_polls_are_idempotent_while_asleep() {
 /// Posts to a handful of nodes and nothing else: most nodes step once, at
 /// round 0, and never wake again. `via_with_node` queues the messages
 /// through `with_node(i, |n| n.post(..))` instead of `Fleet::post`.
-fn sparse_posts(via_with_node: bool) -> impl Fn(Schedule, usize) -> Observed {
-    move |schedule, threads| {
-        let mut fleet = Fleet::new(&config(threads), &[modules::blink(BLINK)]).expect("builds");
+fn sparse_posts(via_with_node: bool) -> impl Fn(Schedule, FleetConfig) -> Observed {
+    move |schedule, cfg| {
+        let mut fleet = Fleet::new(&cfg, &[modules::blink(BLINK)]).expect("builds");
         for round in 0..12u64 {
             if round % 3 == 1 {
                 let node = (round as usize * 5) % NODES;
@@ -259,11 +273,15 @@ fn sparse_posts(via_with_node: bool) -> impl Fn(Schedule, usize) -> Observed {
 fn a_post_through_with_node_is_a_post() {
     assert_oracle_agrees("Fleet::post", sparse_posts(false));
     assert_oracle_agrees("with_node post", sparse_posts(true));
-    for threads in [1, 4] {
-        assert!(
-            sparse_posts(true)(Schedule::EventDriven, threads)
-                == sparse_posts(false)(Schedule::EventDriven, threads),
-            "a with_node post behaved unlike Fleet::post at {threads} threads"
-        );
+    for e in ENGINES {
+        for threads in [1, 4] {
+            let cfg = config(threads, e);
+            assert!(
+                sparse_posts(true)(Schedule::EventDriven, cfg)
+                    == sparse_posts(false)(Schedule::EventDriven, cfg),
+                "{}: a with_node post behaved unlike Fleet::post at {threads} threads",
+                engine(&cfg)
+            );
+        }
     }
 }

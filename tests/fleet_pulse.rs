@@ -3,11 +3,12 @@
 //! serial/parallel), its timer and ledger invariants reconcile on a real
 //! dissemination run, and the idle-work ledger exactly matches a
 //! host-side census of pending work taken independently of the recorder.
+//! Every test runs on each engine of [`ENGINES`].
 
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 
 const NODES: usize = 24;
 const ROUNDS: u64 = 20;
@@ -21,13 +22,15 @@ fn seed() -> u64 {
 
 /// Blink everywhere with a mid-run Tree Routing dissemination: radio
 /// traffic, OTA reassembly and kernel timers all land in the ledger.
-fn run(pulse: bool, threads: usize) -> Fleet {
+fn run(pulse: bool, threads: usize, (turbo, prove): (bool, bool)) -> Fleet {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
         seed: seed(),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
+        turbo,
+        prove,
         pulse,
         ..FleetConfig::default()
     };
@@ -49,27 +52,32 @@ fn run(pulse: bool, threads: usize) -> Fleet {
 
 #[test]
 fn pulse_is_observational() {
-    let baseline = run(false, 1).telemetry().comparable_json();
-    for (pulse, threads) in [(true, 1), (true, 4), (false, 4)] {
-        let mut fleet = run(pulse, threads);
-        assert_eq!(
-            fleet.telemetry().comparable_json(),
-            baseline,
-            "pulse={pulse} threads={threads} perturbed the machines"
-        );
+    for engine @ (turbo, prove) in ENGINES {
+        let baseline = run(false, 1, engine).telemetry().comparable_json();
+        for (pulse, threads) in [(true, 1), (true, 4), (false, 4)] {
+            let mut fleet = run(pulse, threads, engine);
+            assert_eq!(
+                fleet.telemetry().comparable_json(),
+                baseline,
+                "turbo={turbo} prove={prove} pulse={pulse} threads={threads} perturbed the machines"
+            );
+        }
     }
 }
 
 #[test]
 fn report_reconciles_and_accounts_every_node_step() {
-    for threads in [1, 4] {
-        let fleet = run(true, threads);
-        let report = fleet.pulse_report().expect("pulse enabled");
-        assert_eq!(report.rounds, ROUNDS);
-        assert_eq!(report.ledger.stepped, NODES as u64 * ROUNDS);
-        let bad = report.reconcile();
-        assert!(bad.is_empty(), "threads={threads}: {bad:?}");
-        assert_eq!(report.timeline.len(), ROUNDS as usize, "all rounds retained");
+    for engine @ (turbo, prove) in ENGINES {
+        for threads in [1, 4] {
+            let on = format!("turbo={turbo} prove={prove} threads={threads}");
+            let fleet = run(true, threads, engine);
+            let report = fleet.pulse_report().expect("pulse enabled");
+            assert_eq!(report.rounds, ROUNDS, "{on}: rounds");
+            assert_eq!(report.ledger.stepped, NODES as u64 * ROUNDS, "{on}: node-steps");
+            let bad = report.reconcile();
+            assert!(bad.is_empty(), "{on}: {bad:?}");
+            assert_eq!(report.timeline.len(), ROUNDS as usize, "{on}: all rounds retained");
+        }
     }
 }
 
@@ -78,44 +86,58 @@ fn ledger_matches_independent_census() {
     // Count pending work by hand before every round, serial so the
     // census and the recorder see the same pre-step state; the ledger
     // must agree exactly — it is a pure function of node state.
-    let cfg = FleetConfig {
-        nodes: NODES,
-        protection: Protection::Umpu,
-        seed: seed(),
-        net: NetConfig { loss: 0.0, ..NetConfig::default() },
-        threads: 1,
-        pulse: true,
-        ..FleetConfig::default()
-    };
-    let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
-    let mut census = Vec::new();
-    for round in 0..8u64 {
-        if round % 3 == 0 {
-            fleet.post_all(DomainId::num(0), MSG_TIMER);
+    for (turbo, prove) in ENGINES {
+        let cfg = FleetConfig {
+            nodes: NODES,
+            protection: Protection::Umpu,
+            seed: seed(),
+            net: NetConfig { loss: 0.0, ..NetConfig::default() },
+            threads: 1,
+            turbo,
+            prove,
+            pulse: true,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
+        let mut census = Vec::new();
+        for round in 0..8u64 {
+            if round % 3 == 0 {
+                fleet.post_all(DomainId::num(0), MSG_TIMER);
+            }
+            let busy = (0..NODES).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
+            census.push(busy);
+            fleet.step_round();
         }
-        let busy = (0..NODES).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
-        census.push(busy);
-        fleet.step_round();
-    }
-    let report = fleet.pulse_report().expect("pulse enabled");
-    for (r, &expect) in report.timeline.iter().zip(&census) {
-        assert_eq!(r.ledger.busy, expect, "round {}", r.round);
-        assert_eq!(r.ledger.stepped, NODES as u64, "round {}", r.round);
+        let report = fleet.pulse_report().expect("pulse enabled");
+        for (r, &expect) in report.timeline.iter().zip(&census) {
+            let on = format!("turbo={turbo} prove={prove} round {}", r.round);
+            assert_eq!(r.ledger.busy, expect, "{on}: busy");
+            assert_eq!(r.ledger.stepped, NODES as u64, "{on}: stepped");
+        }
     }
 }
 
 #[test]
 fn serial_and_parallel_ledgers_are_byte_identical() {
-    let serial = run(true, 1).pulse_report().expect("pulse enabled");
-    let parallel = run(true, 4).pulse_report().expect("pulse enabled");
-    assert_eq!(serial.ledger_json(), parallel.ledger_json());
-    for (s, p) in serial.timeline.iter().zip(&parallel.timeline) {
-        assert_eq!(s.ledger, p.ledger, "round {}", s.round);
-        assert_eq!(s.cycles_delta, p.cycles_delta, "round {}", s.round);
+    for engine @ (turbo, prove) in ENGINES {
+        let serial = run(true, 1, engine).pulse_report().expect("pulse enabled");
+        let parallel = run(true, 4, engine).pulse_report().expect("pulse enabled");
+        assert_eq!(
+            serial.ledger_json(),
+            parallel.ledger_json(),
+            "turbo={turbo} prove={prove}: ledger"
+        );
+        for (s, p) in serial.timeline.iter().zip(&parallel.timeline) {
+            let on = format!("turbo={turbo} prove={prove} round {}", s.round);
+            assert_eq!(s.ledger, p.ledger, "{on}: ledger");
+            assert_eq!(s.cycles_delta, p.cycles_delta, "{on}: cycles");
+        }
     }
 }
 
 #[test]
 fn disabled_pulse_has_no_report() {
-    assert!(run(false, 1).pulse_report().is_none());
+    for engine @ (turbo, prove) in ENGINES {
+        assert!(run(false, 1, engine).pulse_report().is_none(), "turbo={turbo} prove={prove}");
+    }
 }

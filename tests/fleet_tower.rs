@@ -10,7 +10,7 @@ use harbor_fleet::{
     BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, NodeTelemetry, TowerConfig,
 };
 use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
+use mini_sos::{modules, Protection, ENGINES};
 use proptest::prelude::*;
 
 const NODES: usize = 12;
@@ -23,12 +23,6 @@ fn seed() -> u64 {
         Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
         Err(_) => 0x70_3e_12,
     }
-}
-
-/// `HARBOR_PROVE=1` enables elision at build time even when the config
-/// leaves `prove` off, so the elision-count expectations must follow it.
-fn env_prove() -> bool {
-    std::env::var_os("HARBOR_PROVE").is_some_and(|v| v == "1")
 }
 
 /// A cohorted fleet with the blackbox and tower attached: Blink ticks
@@ -88,12 +82,12 @@ fn rollup_is_schedule_and_shard_independent() {
 
 /// Every rollup counter reconciles exactly against the raw per-node
 /// telemetry — no sampling, no loss — and the per-cohort fold invariant
-/// (`totals == folded + Σ windows`) holds end to end. Turbo and prove runs
-/// must reconcile the same way, and prove's elision counter must agree
-/// with the per-node metrics registry it was sampled from.
+/// (`totals == folded + Σ windows`) holds end to end. Every engine must
+/// reconcile the same way, and prove's elision counter must agree with the
+/// per-node metrics registry it was sampled from.
 #[test]
 fn rollup_reconciles_exactly_under_turbo_and_prove() {
-    for (turbo, prove) in [(false, false), (true, false), (false, true), (true, true)] {
+    for (turbo, prove) in ENGINES {
         let mut fleet = run(seed(), 0.1, 4, 4, turbo, prove);
         let rollup = fleet.tower_rollup().expect("tower attached");
         let telemetry = fleet.telemetry();
@@ -115,7 +109,7 @@ fn rollup_reconciles_exactly_under_turbo_and_prove() {
         assert!(totals.faults > 0, "{tag}: the scenario faults");
         let elided_metric = telemetry.merged_metrics().counter("umpu.stores_elided");
         assert_eq!(totals.stores_elided, elided_metric, "{tag}: stores_elided vs metrics");
-        if prove || env_prove() {
+        if prove {
             assert!(totals.stores_elided > 0, "{tag}: elision fired under prove");
         } else {
             assert_eq!(totals.stores_elided, 0, "{tag}: no elision without prove");
@@ -142,7 +136,7 @@ fn prove_rollup_differs_only_in_elision_counter() {
     for (name, (rv, pv)) in
         harbor_tower::CounterSet::FIELDS.iter().zip(r.values().into_iter().zip(p.values()))
     {
-        if *name == "stores_elided" && !env_prove() {
+        if *name == "stores_elided" {
             assert!(pv > rv, "elision fired under prove");
         } else {
             assert_eq!(rv, pv, "{name} diverged under prove");
