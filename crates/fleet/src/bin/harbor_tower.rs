@@ -19,22 +19,20 @@
 //! ```
 //!
 //! `--check` validates the pipeline end to end: (1) serial and parallel
-//! stepping produce byte-identical rollups; (2) the rollup is independent
-//! of the shard count; (3) every counter reconciles *exactly* against raw
-//! [`NodeTelemetry`] totals (no sampling, no loss); (4) turbo execution
-//! changes nothing and prove changes exactly the `stores_elided` counter;
-//! (5) a seeded 512-node crash-loop campaign flags the faulted cohort —
-//! and only that cohort — as unhealthy, with the offender list, dump
-//! index and causal retrieval all agreeing. Exits non-zero on any
-//! violation.
+//! stepping produce byte-identical rollups; (2) every rollup counter
+//! reconciles *exactly* against the sum of the nodes' counter tables (no
+//! sampling, no loss); (3) turbo execution changes nothing and prove
+//! changes exactly the `stores_elided` counter; (4) a seeded 512-node
+//! crash-loop campaign flags the faulted cohort — and only that cohort —
+//! as unhealthy, with the offender list, dump index and causal retrieval
+//! all agreeing. Exits non-zero on any violation.
 
 mod cli;
 
 use harbor::DomainId;
 use harbor_blackbox::reconstruct;
 use harbor_fleet::{
-    BlackboxConfig, Fleet, FleetConfig, FleetRollup, ModuleImage, NetConfig, NodeTelemetry,
-    TowerConfig,
+    BlackboxConfig, Fleet, FleetConfig, FleetRollup, ModuleImage, NetConfig, TowerConfig,
 };
 use harbor_tower::{chrome_trace, query, CounterSet};
 use mini_sos::kernel::MSG_TIMER;
@@ -63,7 +61,6 @@ const SURGE_DOM: u8 = 3;
 fn run_scenario(
     nodes: usize,
     threads: usize,
-    shards: u32,
     turbo: bool,
     prove: bool,
     disseminate: bool,
@@ -78,7 +75,7 @@ fn run_scenario(
         turbo,
         prove,
         cohorts: COHORTS,
-        tower: Some(TowerConfig { shards, ..TowerConfig::default() }),
+        tower: Some(TowerConfig::default()),
         ..FleetConfig::default()
     };
     let mut fleet =
@@ -109,7 +106,7 @@ fn main() -> ExitCode {
     if cli.flag("--check") {
         run_checks()
     } else if cli.flag("--json") {
-        let mut fleet = run_scenario(64, 0, 4, false, false, true);
+        let mut fleet = run_scenario(64, 0, false, false, true);
         println!("{}", fleet.tower_rollup().expect("tower attached").to_json());
         ExitCode::SUCCESS
     } else if cli.flag("--trace") {
@@ -125,7 +122,7 @@ fn main() -> ExitCode {
 
 /// Demo: tables on stdout, rollup JSON + Perfetto timeline on disk.
 fn run_demo() -> ExitCode {
-    let mut fleet = run_scenario(64, 0, 4, false, false, true);
+    let mut fleet = run_scenario(64, 0, false, false, true);
     let rollup = fleet.tower_rollup().expect("tower attached");
     println!("── cohorts ──");
     print!("{}", query::cohort_table(&rollup));
@@ -144,7 +141,7 @@ fn run_demo() -> ExitCode {
 /// Dump-id query: the indexed reference, the reconstructed postmortem
 /// timeline, and the node's causal-log context around the fault.
 fn run_trace(id: &str) -> ExitCode {
-    let mut fleet = run_scenario(64, 0, 4, false, false, true);
+    let mut fleet = run_scenario(64, 0, false, false, true);
     let rollup = fleet.tower_rollup().expect("tower attached");
     let Some(dump_ref) = rollup.find_dump(id) else {
         eprintln!("harbor-tower: no dump {id}; known ids:");
@@ -183,12 +180,6 @@ fn run_trace(id: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Sum of a counter over every node's `SosSystem` (lifecycle counters do
-/// not appear in `NodeTelemetry`, so reconciliation reads them directly).
-fn sys_total(fleet: &Fleet, f: impl Fn(&mini_sos::SosSystem) -> u64) -> u64 {
-    (0..fleet.len()).map(|i| f(&fleet.node(i).sys)).sum()
-}
-
 fn run_checks() -> ExitCode {
     let failures = std::cell::Cell::new(0u32);
     let fail = |msg: String| {
@@ -197,21 +188,14 @@ fn run_checks() -> ExitCode {
     };
 
     // ── identity legs (small fleet, dissemination included) ──
-    let mut serial = run_scenario(24, 1, 4, false, false, true);
+    let mut serial = run_scenario(24, 1, false, false, true);
     let reference = serial.tower_rollup().expect("tower attached").to_json();
 
-    let parallel = run_scenario(24, 4, 4, false, false, true).tower_rollup().unwrap().to_json();
+    let parallel = run_scenario(24, 4, false, false, true).tower_rollup().unwrap().to_json();
     if parallel != reference {
         fail("serial and parallel rollups differ".to_string());
     }
-    for shards in [1u32, 7] {
-        let other =
-            run_scenario(24, 4, shards, false, false, true).tower_rollup().unwrap().to_json();
-        if other != reference {
-            fail(format!("{shards}-shard rollup differs from the 4-shard reference"));
-        }
-    }
-    let turbo = run_scenario(24, 4, 4, true, false, true).tower_rollup().unwrap().to_json();
+    let turbo = run_scenario(24, 4, true, false, true).tower_rollup().unwrap().to_json();
     if turbo != reference {
         fail("turbo rollup differs from the reference".to_string());
     }
@@ -219,7 +203,7 @@ fn run_checks() -> ExitCode {
     // Prove changes exactly one counter: stores_elided. Everything else —
     // cycles, faults, radio traffic, dump ids — must match the reference
     // field for field.
-    let mut prove_fleet = run_scenario(24, 4, 4, false, true, true);
+    let mut prove_fleet = run_scenario(24, 4, false, true, true);
     let prove_rollup = prove_fleet.tower_rollup().unwrap();
     let ref_rollup = serial.tower_rollup().unwrap();
     let (ref_totals, prove_totals) = (ref_rollup.totals(), prove_rollup.totals());
@@ -231,8 +215,9 @@ fn run_checks() -> ExitCode {
             fail(format!("prove leg: {name} diverged (reference {r}, prove {p})"));
         }
     }
-    let elided_metric = prove_fleet.telemetry().merged_metrics().counter("umpu.stores_elided");
-    let elided_sys = sys_total(&prove_fleet, mini_sos::SosSystem::stores_elided);
+    let elided_metric = prove_fleet.telemetry().total(|n| n.metrics.counter("umpu.stores_elided"));
+    let elided_sys: u64 =
+        (0..prove_fleet.len()).map(|i| prove_fleet.node(i).sys.stores_elided()).sum();
     if prove_totals.stores_elided != elided_metric || elided_metric != elided_sys {
         fail(format!(
             "stores_elided disagrees: rollup {} metric {elided_metric} env {elided_sys}",
@@ -240,14 +225,14 @@ fn run_checks() -> ExitCode {
         ));
     }
 
-    // ── exact reconciliation against raw NodeTelemetry ──
+    // ── exact reconciliation against the nodes' counter tables ──
     failures.set(failures.get() + reconcile(&mut serial, &ref_rollup));
 
     // ── the 512-node crash-loop campaign ──
-    let mut campaign = run_scenario(512, 4, 4, false, false, false);
+    let mut campaign = run_scenario(512, 4, false, false, false);
     let rollup = campaign.tower_rollup().expect("tower attached");
     let campaign_serial =
-        run_scenario(512, 1, 4, false, false, false).tower_rollup().unwrap().to_json();
+        run_scenario(512, 1, false, false, false).tower_rollup().unwrap().to_json();
     if rollup.to_json() != campaign_serial {
         fail("512-node campaign: serial and parallel rollups differ".to_string());
     }
@@ -308,43 +293,33 @@ fn run_checks() -> ExitCode {
     }
 }
 
-/// Exact reconciliation: every rollup counter equals the corresponding
-/// raw telemetry total. Returns the number of mismatches.
+/// Exact reconciliation: every rollup counter equals the sum of the
+/// nodes' counter tables (these scenarios restore no checkpoint), every
+/// sample is one node-round, the tables agree with the recorders and
+/// watchdogs they count from, and every cohort's fold invariant holds.
+/// Returns the number of mismatches.
 fn reconcile(fleet: &mut Fleet, rollup: &FleetRollup) -> u32 {
     let mut failures = 0u32;
     let mut check = |name: &str, rolled: u64, raw: u64| {
         if rolled != raw {
-            eprintln!("FAIL: reconciliation: {name} rolled up {rolled}, telemetry says {raw}");
+            eprintln!("FAIL: reconciliation: {name} rolled up {rolled}, counted {raw}");
             failures += 1;
         }
     };
-    let telemetry = fleet.telemetry();
+    let mut tables = CounterSet::default();
+    for i in 0..fleet.len() {
+        tables.add(fleet.node(i).counters());
+    }
+    tables.samples = fleet.len() as u64 * fleet.round();
     let totals = rollup.totals();
-    check("samples", totals.samples, telemetry.nodes as u64 * telemetry.rounds);
-    check("cycles", totals.cycles, telemetry.total(|n| n.cycles));
-    check("idle_cycles", totals.idle_cycles, telemetry.total(|n| n.idle_cycles));
-    check("instructions", totals.instructions, telemetry.total(|n| n.instructions));
-    check("rx", totals.rx, telemetry.total(|n| n.rx));
-    check("tx", totals.tx, telemetry.total(|n| n.tx));
-    check("messages", totals.messages, telemetry.total(|n| n.messages));
-    check("queue_drops", totals.queue_drops, telemetry.total(|n| n.queue_drops));
-    check("chunks", totals.chunks, telemetry.total(|n| n.chunks));
-    check("retransmits", totals.retransmits, telemetry.total(|n| n.requests));
-    check("faults", totals.faults, telemetry.total(NodeTelemetry::faults));
-    check("contained", totals.contained, telemetry.total(NodeTelemetry::contained));
-    check("recoveries", totals.recoveries, telemetry.total(NodeTelemetry::recoveries));
-    check("quarantined", totals.quarantined, telemetry.total(NodeTelemetry::quarantined));
-    check("alerts", totals.alerts, telemetry.total(|n| n.alerts));
-    check("ring_dropped", totals.ring_dropped, telemetry.total(|n| n.ring_dropped));
-    check("installs", totals.installs, sys_total(fleet, mini_sos::SosSystem::modules_installed));
-    check("unloads", totals.unloads, sys_total(fleet, mini_sos::SosSystem::modules_unloaded));
-    check(
-        "stores_elided",
-        totals.stores_elided,
-        sys_total(fleet, mini_sos::SosSystem::stores_elided),
-    );
-    check("dumps", totals.dumps, fleet.dumps().len() as u64);
-    check("ingested", rollup.ingested, telemetry.nodes as u64 * telemetry.rounds);
+    for (name, (rolled, counted)) in
+        CounterSet::FIELDS.iter().zip(totals.values().into_iter().zip(tables.values()))
+    {
+        check(name, rolled, counted);
+    }
+    check("ingested", rollup.ingested, tables.samples);
+    check("recorder dumps", totals.dumps, fleet.dumps().len() as u64);
+    check("watchdog alerts", totals.alerts, fleet.alerts().len() as u64);
     // The per-cohort fold invariant, end to end.
     for c in &rollup.cohorts {
         let mut sum = c.folded;

@@ -16,7 +16,7 @@
 //!    radio in node-id order. No other node can have an outbox.
 //!
 //! Every node starts awake, since none has yet copied its booted machine's
-//! counters into its telemetry. A packet, a post, [`Fleet::with_node`] or
+//! counters into its counter table. A packet, a post, [`Fleet::with_node`] or
 //! a rollback wakes a node; a step that leaves it no pending work and a
 //! quiet watchdog puts it to sleep. Skipping a sleeping node changes no
 //! byte: its step would do nothing (see `node.rs`).
@@ -545,8 +545,7 @@ impl Fleet {
     /// image, every node that flashed it restores its pre-flash
     /// checkpoint (landing on the exact pre-rollout flash generation),
     /// and every node quarantines the id so still-circulating chunks are
-    /// never reassembled. Every node wakes: a restored machine's counters
-    /// moved under its telemetry.
+    /// never reassembled. Every node wakes, as after any host access.
     pub fn rollback_rollout(&mut self, id: u16) {
         if self.seeder.as_ref().is_some_and(|s| s.image_id == id) {
             self.retire_seeder();
@@ -715,7 +714,7 @@ impl Fleet {
                 tower.ingest_dump(node.cohort, &dump);
             }
             for alert in node.unrouted_alerts() {
-                tower.ingest_alert(alert.node, node.cohort, alert.kind.index());
+                tower.ingest_alert(node.cohort, alert.kind);
             }
         }
     }
@@ -727,8 +726,8 @@ impl Fleet {
     ///
     /// With pulse attached it also returns the round's [`StepStats`]. A
     /// skipped node counts as idle: it fell asleep with no pending work
-    /// and nothing has reached it since. Its telemetry is current, so the
-    /// cycle sum and frontier read it there.
+    /// and nothing has reached it since. Its counter table is current, so
+    /// the cycle sum and frontier read it there.
     fn step_nodes(&mut self, round: u64, awake: &[usize]) -> Option<StepStats> {
         let work = (round, self.cfg.cycle_budget);
         let (mut rest, mut next) = (self.nodes.iter_mut(), 0);
@@ -777,7 +776,7 @@ impl Fleet {
                 WorkerStat { busy_ns: ns, span_ns: ns, finish_ns: ns, ..stats.workers[0] };
         }
         stats.workers.retain(|w| w.nodes > 0);
-        let cycles = self.nodes.iter().map(|n| n.telemetry.cycles);
+        let cycles = self.nodes.iter().map(|n| n.counters().cycles);
         (stats.cycles_total, stats.cycles_frontier) =
             (cycles.clone().sum(), cycles.max().unwrap_or(0));
         Some(stats)
@@ -837,7 +836,7 @@ impl Fleet {
             agg.p99_recorded = per_node_recorded.quantile(9900);
             agg
         });
-        let per_node: Vec<_> = self.nodes.iter().map(|n| n.telemetry.clone()).collect();
+        let per_node: Vec<_> = self.nodes.iter().map(Node::telemetry).collect();
         let convergence_round = if self.seeder.is_some() && self.converged() {
             per_node.iter().filter_map(|n| n.installed_round).max()
         } else {
@@ -858,12 +857,13 @@ impl Fleet {
         }
     }
 
-    /// The merged telemetry rollup: per-cohort time series, health
-    /// scores, top-K offenders and the dump index. `None` unless the
-    /// config attached a tower. Drains any residual counter movement
-    /// first (host-side posts after the last round), so the rollup's
-    /// totals reconcile exactly against [`Fleet::telemetry`] at any
-    /// point, not just on a round boundary.
+    /// The telemetry rollup: per-cohort time series, health scores, top-K
+    /// offenders and the dump index. `None` unless the config attached a
+    /// tower. Drains any residual counter movement first (host-side posts
+    /// after the last round), so at any point, not just on a round
+    /// boundary, the rollup's totals equal the sum of the nodes' counter
+    /// tables plus what checkpoint restores rewound (see
+    /// [`Node::counters`]).
     pub fn tower_rollup(&mut self) -> Option<FleetRollup> {
         self.tower.is_some().then(|| {
             let round = self.round;

@@ -1,5 +1,5 @@
 //! One sensor node: a [`SosSystem`] wrapped with a radio inbox/outbox, the
-//! dissemination state machine and per-node telemetry.
+//! dissemination state machine and the node's counter table.
 //!
 //! A node only ever touches its own state during the fleet's parallel phase
 //! — incoming packets are staged into `inbox` by the serial deliver phase,
@@ -17,6 +17,7 @@ use harbor_blackbox::{
     CausalKind, CausalLog, CausalRecord, FlightRecorder, LamportClock, Watchdog,
 };
 use harbor_scope::ScopeSink;
+use harbor_tower::{CounterSet, RoundSample};
 use mini_sos::SosSystem;
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeMap;
@@ -70,8 +71,6 @@ pub struct Node {
     pub cohort: u32,
     /// The node's simulated processor + kernel + modules.
     pub sys: SosSystem,
-    /// This node's counters.
-    pub telemetry: NodeTelemetry,
     /// Frames delivered this round (staged by the fleet's serial phase).
     pub inbox: Vec<Envelope>,
     /// Frames to transmit (drained by the fleet's serial phase).
@@ -86,18 +85,14 @@ pub struct Node {
     /// Optional anomaly watchdog (set by the fleet's blackbox config).
     pub watchdog: Option<Watchdog>,
     seq: u64,
-    /// Plain mirror of the `fleet.faults` metric: the watchdog reads this
-    /// every round, and a string-keyed counter lookup is too slow for that
-    /// path.
-    faults: u64,
-    // Elided-store total already mirrored into the metrics registry (the
-    // env counter is cumulative; the metric is fed by delta so clones of a
-    // warm prototype start clean).
-    elided_seen: u64,
-    // Cumulative totals already fed to the tower (delta baseline) plus
-    // high-water marks for dump/alert routing. All zero until the fleet's
-    // feed phase touches them; a tower-less run never does.
-    tower_prev: harbor_tower::CounterSet,
+    // The node's counter table (see `Node::counters`).
+    counters: CounterSet,
+    // Round the disseminated module was installed in, if it was.
+    installed_round: Option<u64>,
+    // The table as last fed to the tower (delta baseline) plus high-water
+    // marks for dump/alert routing. All zero until the fleet's feed phase
+    // touches them; a tower-less run never does.
+    tower_prev: CounterSet,
     dumps_fed: usize,
     alerts_fed: usize,
     dissem: Option<Dissem>,
@@ -124,7 +119,6 @@ impl Node {
             id,
             cohort: 0,
             sys,
-            telemetry: NodeTelemetry { id, ..NodeTelemetry::default() },
             inbox: Vec::new(),
             outbox: Vec::new(),
             clock: LamportClock::new(),
@@ -132,9 +126,9 @@ impl Node {
             recorder: None,
             watchdog: None,
             seq: 0,
-            faults: 0,
-            elided_seen: 0,
-            tower_prev: harbor_tower::CounterSet::default(),
+            counters: CounterSet::default(),
+            installed_round: None,
+            tower_prev: CounterSet::default(),
             dumps_fed: 0,
             alerts_fed: 0,
             dissem: None,
@@ -146,6 +140,25 @@ impl Node {
                 fleet_seed ^ (id as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ),
         }
+    }
+
+    /// The node's counter table: every counter the node keeps, cumulative
+    /// since it was built. The watchdog and the tower read it, and
+    /// [`Node::telemetry`] renders it.
+    ///
+    /// Event entries only ever grow. The entries the machine keeps itself
+    /// (cycles, instructions, installs, ...) show the machine as it is, so
+    /// a checkpoint restore lowers them; the tower still counts the work
+    /// the restore rewound, so the rollup equals the fleet's tables plus
+    /// what restores rewound.
+    pub fn counters(&self) -> &CounterSet {
+        &self.counters
+    }
+
+    /// This node's [`NodeTelemetry`]: the view of its counter table that
+    /// the fleet's JSON and `metrics` readers see.
+    pub fn telemetry(&self) -> NodeTelemetry {
+        NodeTelemetry::view(self.id, &self.counters, self.installed_round)
     }
 
     /// Whether the node has installed disseminated image `module`.
@@ -179,7 +192,7 @@ impl Node {
     pub(crate) fn arm_rollout(&mut self, module: u16, eligible: bool) {
         let was = self.gate.get(&module).copied().unwrap_or(false);
         if eligible && !was {
-            self.telemetry.metrics.inc("helm.stages_promoted", 1);
+            self.counters.stages_promoted += 1;
         }
         self.gate.insert(module, was || eligible);
     }
@@ -189,7 +202,9 @@ impl Node {
     /// still-circulating chunks are never reassembled, and drops any
     /// in-progress download. Restoring the checkpoint rewinds the whole
     /// machine — flash, flash generation, cycle counters — to the instant
-    /// before the install.
+    /// before the install. The table's machine entries follow the machine
+    /// back, and the tower's delta baseline goes down by as much, so the
+    /// rollup keeps the work the restore took back.
     pub(crate) fn rollback_rollout(&mut self, module: u16) {
         if self.dissem.as_ref().is_some_and(|d| d.module == module) {
             self.dissem = None;
@@ -202,8 +217,11 @@ impl Node {
             let (_, sys) = self.checkpoint.take().expect("checkpoint present");
             self.sys = *sys;
             self.installed.retain(|&m| m != module);
-            self.telemetry.installed_round = None;
-            self.telemetry.metrics.inc("helm.rollbacks", 1);
+            self.installed_round = None;
+            let before = self.counters;
+            self.copy_machine_counters();
+            self.tower_prev = self.tower_prev.delta(&before.delta(&self.counters));
+            self.counters.rollbacks += 1;
         }
     }
 
@@ -220,9 +238,9 @@ impl Node {
     /// `dom`'s handler, counting queue overflow instead of panicking.
     pub fn post(&mut self, dom: DomainId, msg: u8) {
         if self.sys.try_post(dom, msg) {
-            self.telemetry.messages += 1;
+            self.counters.messages += 1;
         } else {
-            self.telemetry.queue_drops += 1;
+            self.counters.queue_drops += 1;
         }
     }
 
@@ -230,7 +248,7 @@ impl Node {
     /// the envelope with this node's next `(from, seq)` message identity,
     /// logs the send in the causal log, and counts it.
     fn transmit(&mut self, round: u64, to: NodeId, packet: Packet) {
-        self.telemetry.tx += 1;
+        self.counters.tx += 1;
         let lamport = self.clock.tick();
         let seq = self.seq;
         self.seq += 1;
@@ -267,7 +285,7 @@ impl Node {
     ///
     /// Otherwise the node may sleep until a packet, a post or host access
     /// reaches it, because until then [`Node::step`] changes nothing: it
-    /// drains an empty inbox, skips the CPU, re-copies counters that
+    /// drains an empty inbox, skips the CPU, re-copies machine counters that
     /// cannot have moved since the last step, polls a flight recorder that
     /// only reacts to new events or cycles, and feeds a quiet watchdog the
     /// totals it already holds, which leaves it as it was.
@@ -281,7 +299,7 @@ impl Node {
     /// recovered kernel-side, mirroring the paper's clean-restart story.
     pub fn step(&mut self, round: u64, cycle_budget: u64) {
         for env in std::mem::take(&mut self.inbox) {
-            self.telemetry.rx += 1;
+            self.counters.rx += 1;
             let lamport = self.clock.observe(env.lamport);
             self.causal.push(CausalRecord {
                 lamport,
@@ -306,21 +324,19 @@ impl Node {
                     d.backoff = (d.backoff * 2).min(MAX_BACKOFF);
                     let jitter = self.rng.gen_range(0..d.backoff / 2 + 1);
                     d.next_request = round + d.backoff + jitter;
-                    self.telemetry.requests += 1;
+                    self.counters.retransmits += 1;
                     self.transmit(round, SEEDER, Packet::Request { module, missing });
                 }
             }
         }
 
         if self.sys.queue_len() > 0 {
+            let elided = self.sys.stores_elided();
             match self.sys.run_slice(cycle_budget) {
                 Ok(_) => {}
                 Err(fault) => {
-                    self.faults += 1;
-                    self.telemetry.metrics.inc("fleet.faults", 1);
-                    if matches!(fault, Fault::Env(_)) {
-                        self.telemetry.metrics.inc("fleet.contained", 1);
-                    }
+                    self.counters.faults += 1;
+                    self.counters.contained += u64::from(matches!(fault, Fault::Env(_)));
                     // Freeze the postmortem *before* recovery, while the
                     // architectural state still shows the fault; the fault
                     // is also a local milestone on the causal trace.
@@ -335,80 +351,55 @@ impl Node {
                         label: "fault",
                     });
                     if let Some(rec) = &mut self.recorder {
-                        rec.freeze(&self.sys, self.id, round, lamport);
+                        self.counters.dumps +=
+                            u64::from(rec.freeze(&self.sys, self.id, round, lamport));
                     }
                     self.sys.recover_from_fault();
-                    self.telemetry.metrics.inc("fleet.recoveries", 1);
+                    self.counters.recoveries += 1;
                 }
             }
+            // Counted per slice, so a restore that rewinds the machine's
+            // total never un-counts an elision.
+            self.counters.stores_elided += self.sys.stores_elided() - elided;
         }
 
         if let Some(rec) = &mut self.recorder {
             rec.poll(&self.sys);
         }
-        self.telemetry.cycles = self.sys.cycles();
-        self.telemetry.idle_cycles = self.sys.idle_cycles();
-        self.telemetry.instructions = self.sys.instructions();
-        self.telemetry.ring_dropped = self.sys.scope().map_or(0, ScopeSink::dropped);
-        // Mirror the env's elided-store total into the metrics registry by
-        // delta; the key only ever appears once a store actually elides, so
-        // non-prove runs keep an unchanged registry.
-        let elided = self.sys.stores_elided();
-        if elided > self.elided_seen {
-            self.telemetry.metrics.inc("umpu.stores_elided", elided - self.elided_seen);
-            self.elided_seen = elided;
-        }
+        self.copy_machine_counters();
         if let Some(wd) = &mut self.watchdog {
-            wd.observe(round, self.faults, self.telemetry.requests, self.telemetry.ring_dropped);
-            self.telemetry.alerts = wd.alerts().len() as u64;
+            let c = &self.counters;
+            let fired = wd.observe(round, c.faults, c.retransmits, c.ring_dropped);
+            self.counters.alerts += fired.len() as u64;
         }
     }
 
-    /// Snapshot of this node's cumulative totals in tower vocabulary.
-    fn tower_totals(&self) -> harbor_tower::CounterSet {
-        harbor_tower::CounterSet {
-            samples: 0, // set by the delta taker
-            cycles: self.telemetry.cycles,
-            idle_cycles: self.telemetry.idle_cycles,
-            instructions: self.telemetry.instructions,
-            rx: self.telemetry.rx,
-            tx: self.telemetry.tx,
-            messages: self.telemetry.messages,
-            queue_drops: self.telemetry.queue_drops,
-            chunks: self.telemetry.chunks,
-            retransmits: self.telemetry.requests,
-            faults: self.faults,
-            contained: self.telemetry.contained(),
-            recoveries: self.telemetry.recoveries(),
-            quarantined: self.telemetry.quarantined(),
-            installs: self.sys.modules_installed(),
-            unloads: self.sys.modules_unloaded(),
-            alerts: self.telemetry.alerts,
-            dumps: self.recorder.as_ref().map_or(0, |r| r.dumps().len() as u64),
-            ring_dropped: self.telemetry.ring_dropped,
-            stores_elided: self.elided_seen,
-            images_admitted: self.telemetry.metrics.counter("helm.images_admitted"),
-            stages_promoted: self.telemetry.metrics.counter("helm.stages_promoted"),
-            rollbacks: self.telemetry.metrics.counter("helm.rollbacks"),
-        }
+    /// Copies the counters the machine keeps itself into the table.
+    fn copy_machine_counters(&mut self) {
+        let (c, sys) = (&mut self.counters, &self.sys);
+        c.cycles = sys.cycles();
+        c.idle_cycles = sys.idle_cycles();
+        c.instructions = sys.instructions();
+        c.installs = sys.modules_installed();
+        c.unloads = sys.modules_unloaded();
+        c.ring_dropped = sys.scope().map_or(0, ScopeSink::dropped);
     }
 
-    /// One [`harbor_tower::RoundSample`] for the fleet's feed phase: the
-    /// delta of every cumulative counter since the previous sample. Pass
-    /// `is_round: false` for a residual drain after the last round (counts
-    /// host-side posts that landed after stepping; contributes no sample).
-    pub fn tower_sample(&mut self, round: u64, is_round: bool) -> harbor_tower::RoundSample {
-        let totals = self.tower_totals();
-        let mut deltas = totals.delta(&self.tower_prev);
-        self.tower_prev = totals;
+    /// One [`RoundSample`] for the fleet's feed phase: the delta of the
+    /// counter table since the previous sample. Pass `is_round: false` for
+    /// a residual drain after the last round (counts host-side posts that
+    /// landed after stepping; contributes no sample).
+    pub fn tower_sample(&mut self, round: u64, is_round: bool) -> RoundSample {
+        let mut deltas = self.counters.delta(&self.tower_prev);
+        self.tower_prev = self.counters;
         deltas.samples = u64::from(is_round);
-        harbor_tower::RoundSample {
+        RoundSample {
             node: self.id,
             cohort: self.cohort,
             round,
             deltas,
-            faults_total: self.faults,
-            alerts_total: self.telemetry.alerts,
+            faults_total: self.counters.faults,
+            alerts_total: self.counters.alerts,
         }
     }
 
@@ -454,7 +445,7 @@ impl Node {
                 if d.chunks[seq as usize].is_none() {
                     d.chunks[seq as usize] = Some(payload);
                     d.have += 1;
-                    self.telemetry.chunks += 1;
+                    self.counters.chunks += 1;
                     // Progress: restart the backoff clock.
                     d.backoff = 1;
                     d.next_request = round + 2;
@@ -486,7 +477,7 @@ impl Node {
                 // exceeds the allotment is quarantined, not installed.
                 if self.sys.admit_module(&loaded).is_err() {
                     self.quarantined.push(module);
-                    self.telemetry.metrics.inc("fleet.quarantined", 1);
+                    self.counters.quarantined += 1;
                     return;
                 }
                 if self.sys.modules.iter().all(|m| m.domain != dom) {
@@ -496,12 +487,12 @@ impl Node {
                     // generation.
                     if self.gate.contains_key(&module) {
                         self.checkpoint = Some((module, Box::new(self.sys.clone())));
-                        self.telemetry.metrics.inc("helm.images_admitted", 1);
+                        self.counters.images_admitted += 1;
                     }
                     self.sys.install_module(loaded);
                 }
                 self.installed.push(module);
-                self.telemetry.installed_round = Some(round);
+                self.installed_round = Some(round);
             }
             Err(_) => {
                 // The radio only drops packets, so this is defensive — but

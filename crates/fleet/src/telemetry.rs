@@ -4,14 +4,16 @@
 //! order, no maps, no floats from iteration order) so a serial and a
 //! parallel run of the same seed can be compared byte-for-byte.
 //!
-//! Protection-relevant counters (faults, containment, recoveries,
-//! quarantines) live in a per-node [`MetricsRegistry`] rather than as
-//! hand-rolled struct fields — the same registry harbor-scope traces feed —
-//! and are exposed through accessors so the rendered JSON is unchanged.
+//! A node counts into one [`CounterSet`] (see `Node::counters`).
+//! [`NodeTelemetry`] is a view of that table, built when the fleet takes a
+//! snapshot: plain fields for the traffic and machine counters, and a
+//! [`MetricsRegistry`] for the protection and rollout counters, read
+//! through accessors, under the names harbor-scope's registry uses.
 
 use harbor_scope::{EventKind, MetricsRegistry};
+use harbor_tower::CounterSet;
 
-/// Counters for one node.
+/// Counters for one node: a view of its counter table (`Node::telemetry`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeTelemetry {
     /// Node id.
@@ -44,11 +46,48 @@ pub struct NodeTelemetry {
     pub alerts: u64,
     /// Round at which the disseminated module was installed, if it was.
     pub installed_round: Option<u64>,
-    /// Named counters + histograms for everything protection-related.
+    /// The protection and rollout counters by registry name
+    /// (`fleet.faults`, `umpu.stores_elided`, `helm.rollbacks`, ...).
     pub metrics: MetricsRegistry,
 }
 
 impl NodeTelemetry {
+    /// The view of node `id`'s counter table. A registry entry at zero has
+    /// no key, as if it had never been counted.
+    pub(crate) fn view(id: u32, c: &CounterSet, installed_round: Option<u64>) -> NodeTelemetry {
+        let mut registry = MetricsRegistry::new();
+        for (name, value) in [
+            ("fleet.faults", c.faults),
+            ("fleet.contained", c.contained),
+            ("fleet.recoveries", c.recoveries),
+            ("fleet.quarantined", c.quarantined),
+            ("umpu.stores_elided", c.stores_elided),
+            ("helm.images_admitted", c.images_admitted),
+            ("helm.stages_promoted", c.stages_promoted),
+            ("helm.rollbacks", c.rollbacks),
+        ] {
+            if value > 0 {
+                registry.inc(name, value);
+            }
+        }
+        NodeTelemetry {
+            id,
+            cycles: c.cycles,
+            idle_cycles: c.idle_cycles,
+            instructions: c.instructions,
+            rx: c.rx,
+            tx: c.tx,
+            messages: c.messages,
+            queue_drops: c.queue_drops,
+            chunks: c.chunks,
+            requests: c.retransmits,
+            ring_dropped: c.ring_dropped,
+            alerts: c.alerts,
+            installed_round,
+            metrics: registry,
+        }
+    }
+
     /// Faults raised while running handlers (`fleet.faults`).
     pub fn faults(&self) -> u64 {
         self.metrics.counter("fleet.faults")
@@ -182,15 +221,6 @@ impl FleetTelemetry {
         self.per_node.iter().map(f).sum()
     }
 
-    /// All per-node metrics registries folded into one.
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        for n in &self.per_node {
-            m.merge(&n.metrics);
-        }
-        m
-    }
-
     /// Renders the whole fleet's counters as one deterministic JSON object.
     /// `threads` is deliberately excluded from the digest-relevant body via
     /// the `comparable_json` helper; this full form includes it. The
@@ -278,16 +308,25 @@ mod tests {
     }
 
     #[test]
-    fn node_counters_route_through_metrics() {
-        let mut n = NodeTelemetry { id: 3, ..NodeTelemetry::default() };
-        n.metrics.inc("fleet.faults", 2);
-        n.metrics.inc("fleet.contained", 1);
-        n.metrics.inc("fleet.recoveries", 2);
-        n.metrics.inc("fleet.quarantined", 4);
+    fn view_routes_protection_counters_through_metrics() {
+        let c = CounterSet {
+            faults: 2,
+            contained: 1,
+            recoveries: 2,
+            quarantined: 4,
+            retransmits: 5,
+            rollbacks: 1,
+            ..CounterSet::default()
+        };
+        let n = NodeTelemetry::view(3, &c, Some(9));
         assert_eq!((n.faults(), n.contained(), n.recoveries(), n.quarantined()), (2, 1, 2, 4));
+        assert_eq!((n.requests, n.installed_round), (5, Some(9)));
+        assert_eq!(n.metrics.counter("helm.rollbacks"), 1);
         let j = n.to_json();
         assert!(j.contains("\"faults\":2,\"contained\":1,\"recoveries\":2"));
-        assert!(j.contains("\"quarantined\":4"));
+        assert!(j.contains("\"quarantined\":4,\"installed_round\":9"));
+        let quiet = NodeTelemetry::view(3, &CounterSet::default(), None);
+        assert!(quiet.metrics.is_empty(), "a zero entry has no registry key");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! generation (canaries by checkpoint restore, everyone else by never
 //! having flashed), and a verdict citing the regressing cohort and a
 //! resolvable dump id; (3) decision logs are byte-identical across
-//! serial/parallel stepping, shard counts, turbo and prove; (4) a fleet
+//! serial/parallel stepping, turbo and prove; (4) a fleet
 //! with helm attached but no campaign produces byte-identical telemetry
 //! to a bare fleet. Gates (1) and (2) run twice in one invocation, on the
 //! reference interpreter and on turbo + prove, whose 512-node decision
@@ -57,7 +57,7 @@ const WARMUP: u64 = 4;
 /// Stall budget per campaign.
 const MAX_CAMPAIGN_ROUNDS: u64 = 240;
 
-fn build_fleet(nodes: usize, threads: usize, shards: u32, turbo: bool, prove: bool) -> Fleet {
+fn build_fleet(nodes: usize, threads: usize, turbo: bool, prove: bool) -> Fleet {
     let cfg = FleetConfig {
         nodes,
         protection: Protection::Umpu,
@@ -68,7 +68,7 @@ fn build_fleet(nodes: usize, threads: usize, shards: u32, turbo: bool, prove: bo
         turbo,
         prove,
         cohorts: COHORTS,
-        tower: Some(TowerConfig { shards, ..TowerConfig::default() }),
+        tower: Some(TowerConfig::default()),
         ..FleetConfig::default()
     };
     Fleet::new(&cfg, &[modules::blink(0), modules::tree_routing(1)]).expect("fleet builds")
@@ -127,8 +127,8 @@ struct Scenario {
     pre_flash: Vec<u64>,
 }
 
-fn run_scenario(nodes: usize, threads: usize, shards: u32, turbo: bool, prove: bool) -> Scenario {
-    let mut run = HelmRun::new(build_fleet(nodes, threads, shards, turbo, prove));
+fn run_scenario(nodes: usize, threads: usize, turbo: bool, prove: bool) -> Scenario {
+    let mut run = HelmRun::new(build_fleet(nodes, threads, turbo, prove));
     for _ in 0..WARMUP {
         post_tick(&mut run, None, None);
         run.step_round();
@@ -179,7 +179,7 @@ fn main() -> ExitCode {
     if cli.flag("--check") {
         run_checks()
     } else if cli.flag("--json") {
-        let s = run_scenario(64, 0, 4, false, false);
+        let s = run_scenario(64, 0, false, false);
         let bad = s.run.helm().expect("bad campaign ran");
         println!("[{},{}]", s.good_json, query::to_json(bad));
         ExitCode::SUCCESS
@@ -190,7 +190,7 @@ fn main() -> ExitCode {
 
 /// Demo: tables on stdout, campaign JSON + Perfetto timelines on disk.
 fn run_demo() -> ExitCode {
-    let s = run_scenario(64, 0, 4, false, false);
+    let s = run_scenario(64, 0, false, false);
     let bad = s.run.helm().expect("bad campaign ran");
 
     println!("── campaign 1: image {} (healthy) ──", s.good_id);
@@ -238,23 +238,19 @@ fn run_checks() -> ExitCode {
         fail("512-node turbo+prove decision logs differ from the reference".to_string());
     }
 
-    // ── decision-log identity: serial ≡ parallel ≡ any shard count ──
-    let ref_logs = decision_logs(&run_scenario(24, 1, 4, false, false));
-    for (label, threads, shards, turbo, prove) in [
-        ("parallel", 4usize, 4u32, false, false),
-        ("1-shard", 4, 1, false, false),
-        ("7-shard", 4, 7, false, false),
-        ("turbo", 4, 4, true, false),
-        ("prove", 4, 4, false, true),
-    ] {
-        if decision_logs(&run_scenario(24, threads, shards, turbo, prove)) != ref_logs {
+    // ── decision-log identity: serial ≡ parallel ≡ turbo ≡ prove ──
+    let ref_logs = decision_logs(&run_scenario(24, 1, false, false));
+    for (label, threads, turbo, prove) in
+        [("parallel", 4usize, false, false), ("turbo", 4, true, false), ("prove", 4, false, true)]
+    {
+        if decision_logs(&run_scenario(24, threads, turbo, prove)) != ref_logs {
             fail(format!("{label} decision logs differ from the serial reference"));
         }
     }
 
     // ── helm attached but idle changes nothing ──
-    let mut bare = build_fleet(24, 4, 4, false, false);
-    let mut wrapped = HelmRun::new(build_fleet(24, 4, 4, false, false));
+    let mut bare = build_fleet(24, 4, false, false);
+    let mut wrapped = HelmRun::new(build_fleet(24, 4, false, false));
     for _ in 0..16 {
         bare.post_all(DomainId::num(0), MSG_TIMER);
         bare.step_round();
@@ -300,7 +296,7 @@ fn run_checks() -> ExitCode {
 fn check_campaign(engine: (bool, bool), report: &dyn Fn(String)) -> Scenario {
     let (turbo, prove) = engine;
     let fail = |msg: String| report(format!("turbo={turbo} prove={prove}: {msg}"));
-    let mut s = run_scenario(512, 4, 4, turbo, prove);
+    let mut s = run_scenario(512, 4, turbo, prove);
     let nodes = s.run.fleet().len();
     let (good_id, bad_id) = (s.good_id, s.bad_id);
 
@@ -372,7 +368,7 @@ fn check_campaign(engine: (bool, bool), report: &dyn Fn(String)) -> Scenario {
                 fail(format!("node {i} still reports bad image {bad_id} installed"));
             }
         }
-        (0..fleet.len()).map(|i| fleet.node(i).telemetry.metrics.counter("helm.rollbacks")).sum()
+        (0..fleet.len()).map(|i| fleet.node(i).counters().rollbacks).sum()
     };
     if restored == 0 {
         fail("no node ever restored a checkpoint; rollback untested".to_string());
@@ -391,7 +387,7 @@ fn check_campaign(engine: (bool, bool), report: &dyn Fn(String)) -> Scenario {
         ));
     }
     if totals.rollbacks != restored {
-        fail(format!("rollup rollbacks {} != node metric total {restored}", totals.rollbacks));
+        fail(format!("rollup rollbacks {} != node table total {restored}", totals.rollbacks));
     }
     if totals.stages_promoted < nodes as u64 {
         fail(format!(

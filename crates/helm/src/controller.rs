@@ -5,10 +5,10 @@
 //! emits [`HelmCommand`]s for the driver to actuate. It reads nothing
 //! else — no clocks, no randomness, no node state — so for the same
 //! plan and the same rollup series the decision log is byte-identical,
-//! no matter how the fleet computing the rollups was scheduled or
-//! sharded. The fleet's crown-jewel identity (serial ≡ parallel ≡
-//! any-shard-count rollup bytes) therefore lifts to the control plane
-//! for free: identical rollup bytes in, identical decision bytes out.
+//! no matter how the fleet computing the rollups was scheduled. The
+//! fleet's crown-jewel identity (serial ≡ parallel rollup bytes)
+//! therefore lifts to the control plane for free: identical rollup
+//! bytes in, identical decision bytes out.
 
 use harbor_tower::FleetRollup;
 

@@ -3,29 +3,17 @@
 //! and the verdict. 1 fleet round = 1 µs on the timeline; deterministic
 //! output — same controller, same bytes.
 
+use harbor_tower::export::{push_instant, push_meta};
+
 use crate::controller::Helm;
 
 /// The controller's trace process id (cohort pids start at 0; the
 /// controller sits far above any realistic cohort count).
 const HELM_PID: u32 = 10_000;
 
-fn push_meta(out: &mut String, pid: u32, name: &str) {
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"{name}\"}}}},"
-    ));
-}
-
 fn push_span(out: &mut String, pid: u32, ts: u64, dur: u64, name: &str, args: &str) {
     out.push_str(&format!(
         "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\
-         \"tid\":0,\"args\":{{{args}}}}},"
-    ));
-}
-
-fn push_instant(out: &mut String, pid: u32, ts: u64, name: &str, args: &str) {
-    out.push_str(&format!(
-        "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\"pid\":{pid},\
          \"tid\":0,\"args\":{{{args}}}}},"
     ));
 }

@@ -24,10 +24,10 @@
 //! ids.
 //!
 //! Every decision is a pure function of `(plan, rollup)`. The fleet's
-//! crown-jewel identity — serial ≡ parallel ≡ any-shard-count rollup
-//! bytes — therefore lifts to the control plane: decision logs are
-//! byte-identical across schedules and shard counts, and `harbor-helm
-//! --check` gates on exactly that.
+//! crown-jewel identity — serial ≡ parallel rollup bytes — therefore
+//! lifts to the control plane: decision logs are byte-identical across
+//! stepping schedules and engines, and `harbor-helm --check` gates on
+//! exactly that.
 //!
 //! [`FleetRollup`]: harbor_tower::FleetRollup
 

@@ -86,19 +86,6 @@ impl CycleHistogram {
         self.max
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &CycleHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// Stable JSON snapshot of the summary statistics.
     pub fn to_json(&self) -> String {
         format!(
@@ -156,17 +143,6 @@ impl MetricsRegistry {
     /// of a trace stream into metrics.
     pub fn record_event(&mut self, ev: &Event) {
         self.inc(&format!("scope.{}", ev.kind().name()), 1);
-    }
-
-    /// Folds another registry into this one (counters add, histograms
-    /// merge) — the fleet's per-node → aggregate reduction.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
     }
 
     /// Stable JSON snapshot: `{"counters":{...},"histograms":{...}}` with
@@ -232,23 +208,6 @@ mod tests {
         assert!(j.starts_with("{\"counters\":{\"a.first\":1,\"b.second\":2},"));
         assert!(j.contains("\"histograms\":{\"lat\":{\"count\":1,"));
         assert_eq!(j, m.clone().to_json());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_folds_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.inc("x", 1);
-        a.observe("h", 10);
-        let mut b = MetricsRegistry::new();
-        b.inc("x", 2);
-        b.inc("y", 5);
-        b.observe("h", 20);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 5);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 30);
     }
 
     #[test]

@@ -1,163 +1,113 @@
-//! Mergeable counter bundles — the unit of ingestion and aggregation.
+//! The fleet's counter table — the unit of counting, ingestion and
+//! aggregation.
 //!
-//! A [`CounterSet`] carries one round's *deltas* for one node (or the
-//! element-wise sum of many such deltas). All aggregation in tower is
-//! addition of these bundles, so any grouping — per window, per cohort,
-//! per shard — merges commutatively and associatively and the rollup is
-//! independent of how nodes were partitioned.
+//! A node counts into one cumulative [`CounterSet`]; the tower ingests
+//! per-round *deltas* of it and sums them per window, per cohort and
+//! fleet-wide. Every aggregate is element-wise addition of these
+//! bundles, so the order nodes are fed in does not matter.
 
-/// Macro-free, fixed-order counter bundle. Field order here is the JSON
-/// key order; keep the two in sync (`to_json` and `FIELDS`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSet {
-    /// Node-round samples folded into this bundle.
-    pub samples: u64,
-    pub cycles: u64,
-    pub idle_cycles: u64,
-    pub instructions: u64,
-    pub rx: u64,
-    pub tx: u64,
-    pub messages: u64,
-    pub queue_drops: u64,
-    pub chunks: u64,
-    pub retransmits: u64,
-    pub faults: u64,
-    pub contained: u64,
-    pub recoveries: u64,
-    pub quarantined: u64,
-    pub installs: u64,
-    pub unloads: u64,
-    pub alerts: u64,
-    pub dumps: u64,
-    pub ring_dropped: u64,
-    pub stores_elided: u64,
-    /// Rollout images admitted and flashed under a `harbor-helm` stage
-    /// grant (node-side admission passed; the image was burned).
-    pub images_admitted: u64,
-    /// Stage grants received from the rollout controller (one per node
-    /// per stage that made the node eligible).
-    pub stages_promoted: u64,
-    /// Checkpoint restores: the controller rolled this node back to its
-    /// pre-rollout flash state.
-    pub rollbacks: u64,
+/// Declares the counter table from one field list: the struct, its
+/// [`FIELDS`](CounterSet::FIELDS) names and every element-wise operation,
+/// all in declaration order, which is also the JSON key order.
+macro_rules! counter_table {
+    ($(#[$doc:meta])* pub struct $name:ident { $($(#[$fdoc:meta])* $field:ident,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fdoc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// Entry names in JSON/render order.
+            pub const FIELDS: [&'static str; Self::LEN] = [$(stringify!($field)),*];
+
+            /// Values in the same order as [`Self::FIELDS`].
+            pub fn values(&self) -> [u64; Self::LEN] {
+                [$(self.$field),*]
+            }
+
+            /// Element-wise accumulate.
+            pub fn add(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Element-wise `self - prev`, saturating at zero — turns two
+            /// snapshots of cumulative totals into a per-round delta bundle.
+            pub fn delta(&self, prev: &$name) -> $name {
+                $name { $($field: self.$field.saturating_sub(prev.$field),)* }
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// One node's counters, or the element-wise sum of many nodes' deltas.
+    ///
+    /// On a node the table is cumulative. The node counts radio, kernel,
+    /// fault, watchdog, recorder and rollout events into it as they happen.
+    /// The entries the machine keeps itself (`cycles`, `idle_cycles`,
+    /// `instructions`, `installs`, `unloads`, `ring_dropped`) are copied
+    /// from the machine after every step and after a checkpoint restore; a
+    /// restore rewinds them, so they can go down.
+    pub struct CounterSet {
+        /// Node-round samples folded into this bundle (the tower sets it;
+        /// a node's own table keeps it at zero).
+        samples,
+        /// Simulated cycles the node's CPU executed.
+        cycles,
+        /// Cycles the CPU spent asleep.
+        idle_cycles,
+        /// Instructions retired.
+        instructions,
+        /// Packets received from the radio.
+        rx,
+        /// Packets handed to the radio.
+        tx,
+        /// Application messages accepted into the kernel queue.
+        messages,
+        /// Application messages dropped because the queue was full.
+        queue_drops,
+        /// Dissemination chunks received (first copies only).
+        chunks,
+        /// Retransmission requests sent.
+        retransmits,
+        /// Faults raised while running handlers.
+        faults,
+        /// Faults that were protection violations, contained by Harbor.
+        contained,
+        /// Times the kernel's exception path restored a clean context.
+        recoveries,
+        /// Disseminated images the load policy rejected.
+        quarantined,
+        /// Modules dynamically installed since boot.
+        installs,
+        /// Modules unloaded since boot.
+        unloads,
+        /// Watchdog alerts raised.
+        alerts,
+        /// Postmortem dumps the flight recorder froze.
+        dumps,
+        /// Event bodies the node's trace ring shed under pressure.
+        ring_dropped,
+        /// Stores that took the certified elided path (`harbor-prove`).
+        stores_elided,
+        /// Rollout images admitted and flashed under a `harbor-helm` stage
+        /// grant (node-side admission passed; the image was burned).
+        images_admitted,
+        /// Stage grants received from the rollout controller (one per node
+        /// per stage that made the node eligible).
+        stages_promoted,
+        /// Checkpoint restores: the controller rolled this node back to its
+        /// pre-rollout flash state.
+        rollbacks,
+    }
 }
 
 impl CounterSet {
-    /// Field names in JSON/render order.
-    pub const FIELDS: [&'static str; 23] = [
-        "samples",
-        "cycles",
-        "idle_cycles",
-        "instructions",
-        "rx",
-        "tx",
-        "messages",
-        "queue_drops",
-        "chunks",
-        "retransmits",
-        "faults",
-        "contained",
-        "recoveries",
-        "quarantined",
-        "installs",
-        "unloads",
-        "alerts",
-        "dumps",
-        "ring_dropped",
-        "stores_elided",
-        "images_admitted",
-        "stages_promoted",
-        "rollbacks",
-    ];
-
-    /// Values in the same order as [`Self::FIELDS`].
-    pub fn values(&self) -> [u64; 23] {
-        [
-            self.samples,
-            self.cycles,
-            self.idle_cycles,
-            self.instructions,
-            self.rx,
-            self.tx,
-            self.messages,
-            self.queue_drops,
-            self.chunks,
-            self.retransmits,
-            self.faults,
-            self.contained,
-            self.recoveries,
-            self.quarantined,
-            self.installs,
-            self.unloads,
-            self.alerts,
-            self.dumps,
-            self.ring_dropped,
-            self.stores_elided,
-            self.images_admitted,
-            self.stages_promoted,
-            self.rollbacks,
-        ]
-    }
-
-    /// Element-wise accumulate.
-    pub fn add(&mut self, other: &CounterSet) {
-        self.samples += other.samples;
-        self.cycles += other.cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.instructions += other.instructions;
-        self.rx += other.rx;
-        self.tx += other.tx;
-        self.messages += other.messages;
-        self.queue_drops += other.queue_drops;
-        self.chunks += other.chunks;
-        self.retransmits += other.retransmits;
-        self.faults += other.faults;
-        self.contained += other.contained;
-        self.recoveries += other.recoveries;
-        self.quarantined += other.quarantined;
-        self.installs += other.installs;
-        self.unloads += other.unloads;
-        self.alerts += other.alerts;
-        self.dumps += other.dumps;
-        self.ring_dropped += other.ring_dropped;
-        self.stores_elided += other.stores_elided;
-        self.images_admitted += other.images_admitted;
-        self.stages_promoted += other.stages_promoted;
-        self.rollbacks += other.rollbacks;
-    }
-
     pub fn is_zero(&self) -> bool {
         self.values().iter().all(|&v| v == 0)
-    }
-
-    /// Element-wise `self - prev`, saturating at zero — turns two
-    /// snapshots of cumulative totals into a per-round delta bundle.
-    pub fn delta(&self, prev: &CounterSet) -> CounterSet {
-        CounterSet {
-            samples: self.samples.saturating_sub(prev.samples),
-            cycles: self.cycles.saturating_sub(prev.cycles),
-            idle_cycles: self.idle_cycles.saturating_sub(prev.idle_cycles),
-            instructions: self.instructions.saturating_sub(prev.instructions),
-            rx: self.rx.saturating_sub(prev.rx),
-            tx: self.tx.saturating_sub(prev.tx),
-            messages: self.messages.saturating_sub(prev.messages),
-            queue_drops: self.queue_drops.saturating_sub(prev.queue_drops),
-            chunks: self.chunks.saturating_sub(prev.chunks),
-            retransmits: self.retransmits.saturating_sub(prev.retransmits),
-            faults: self.faults.saturating_sub(prev.faults),
-            contained: self.contained.saturating_sub(prev.contained),
-            recoveries: self.recoveries.saturating_sub(prev.recoveries),
-            quarantined: self.quarantined.saturating_sub(prev.quarantined),
-            installs: self.installs.saturating_sub(prev.installs),
-            unloads: self.unloads.saturating_sub(prev.unloads),
-            alerts: self.alerts.saturating_sub(prev.alerts),
-            dumps: self.dumps.saturating_sub(prev.dumps),
-            ring_dropped: self.ring_dropped.saturating_sub(prev.ring_dropped),
-            stores_elided: self.stores_elided.saturating_sub(prev.stores_elided),
-            images_admitted: self.images_admitted.saturating_sub(prev.images_admitted),
-            stages_promoted: self.stages_promoted.saturating_sub(prev.stages_promoted),
-            rollbacks: self.rollbacks.saturating_sub(prev.rollbacks),
-        }
     }
 
     /// Deterministic JSON object, every field rendered, fixed order.
@@ -179,8 +129,8 @@ impl CounterSet {
 }
 
 /// One node's telemetry delta for one round, tagged with its cohort —
-/// the wire unit between the fleet and a shard aggregator. `faults_total`
-/// and `alerts_total` are *cumulative* (not deltas): the top-K tracker
+/// the wire unit between the fleet and the tower. `faults_total` and
+/// `alerts_total` are *cumulative* (not deltas): the top-K tracker
 /// needs absolute severity per node without any per-node state in the
 /// aggregator.
 #[derive(Debug, Clone, Copy)]
@@ -205,10 +155,11 @@ mod tests {
         assert!(json.ends_with("\"images_admitted\":0,\"stages_promoted\":0,\"rollbacks\":2}"));
         let keys = json.matches(':').count();
         assert_eq!(keys, CounterSet::FIELDS.len());
+        assert_eq!(CounterSet::FIELDS.len(), 23);
     }
 
     #[test]
-    fn add_is_element_wise() {
+    fn add_and_delta_are_element_wise() {
         let mut a = CounterSet { faults: 2, cycles: 10, ..CounterSet::default() };
         let b = CounterSet { faults: 3, retransmits: 7, ..CounterSet::default() };
         a.add(&b);
@@ -217,5 +168,8 @@ mod tests {
         assert_eq!(a.retransmits, 7);
         assert!(!a.is_zero());
         assert!(CounterSet::default().is_zero());
+        let d = a.delta(&b);
+        assert_eq!((d.faults, d.cycles, d.retransmits), (2, 10, 0));
+        assert!(b.delta(&a).is_zero(), "delta saturates at zero");
     }
 }

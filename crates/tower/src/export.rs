@@ -8,7 +8,9 @@
 
 use crate::tower::FleetRollup;
 
-fn push_meta(out: &mut String, pid: u32, name: &str) {
+/// Appends a `process_name` metadata event naming trace process `pid`.
+/// Every event helper leaves a trailing comma; the caller drops the last.
+pub fn push_meta(out: &mut String, pid: u32, name: &str) {
     out.push_str(&format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
          \"args\":{{\"name\":\"{name}\"}}}},"
@@ -22,7 +24,9 @@ fn push_counter(out: &mut String, pid: u32, ts: u64, name: &str, value: u64) {
     ));
 }
 
-fn push_instant(out: &mut String, pid: u32, ts: u64, name: &str, args: &str) {
+/// Appends a process-scoped instant event at `ts` (µs). `args` is the
+/// inside of the event's `args` object, already JSON.
+pub fn push_instant(out: &mut String, pid: u32, ts: u64, name: &str, args: &str) {
     out.push_str(&format!(
         "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\"pid\":{pid},\
          \"tid\":0,\"args\":{{{args}}}}},"

@@ -2,7 +2,7 @@
 //!
 //! The score is the primitive a canary promote/rollback decision will
 //! consume: an integer in 0..=100 computed from the trailing windows of
-//! a cohort's merged time series. Rates are expressed per-myriad
+//! a cohort's time series. Rates are expressed per-myriad
 //! (events per 10 000 node-round samples) so everything stays in
 //! integers and the score is bit-reproducible across platforms.
 //!
@@ -14,7 +14,7 @@
 //! bad", not just "is it bad now".
 
 use crate::counters::CounterSet;
-use crate::shard::Window;
+use crate::tower::Window;
 
 /// Budgets for the health score. All rates are per-myriad: events per
 /// 10 000 node-round samples within the trailing evaluation window.
@@ -108,7 +108,7 @@ fn penalty(rate: u64, budget: u64, cap: u64, scale: u64) -> u64 {
     (1 + excess * cap / unit.max(1)).min(cap)
 }
 
-/// Score one cohort from its merged window series. `windows` must be
+/// Score one cohort from its window series. `windows` must be
 /// in ascending index order (the rollup guarantees this).
 pub fn score_cohort(cfg: &HealthConfig, cohort: u32, windows: &[Window]) -> CohortHealth {
     let trailing = cfg.trailing_windows.max(1);

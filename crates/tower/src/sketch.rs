@@ -7,9 +7,8 @@
 //! log-linear buckets with [`SUBBUCKETS`] subdivisions per octave
 //! (relative error bounded by `1/SUBBUCKETS` ≈ 6%). Everything is
 //! integer-only and the bucket layout is a pure function of the value,
-//! so merging two sketches is element-wise addition — commutative and
-//! associative, which is what makes shard rollups independent of how
-//! nodes were partitioned.
+//! so the sketch depends only on the multiset of observations, never on
+//! their order.
 
 /// Values below this are counted exactly, one bucket per value.
 const LINEAR_MAX: u64 = 32;
@@ -40,7 +39,7 @@ fn value_of(bucket: usize) -> u64 {
     (1u64 << msb) | (sub << (msb - 4))
 }
 
-/// Mergeable streaming quantile sketch over `u64` observations.
+/// Streaming quantile sketch over `u64` observations.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     buckets: Box<[u64; BUCKETS]>,
@@ -87,18 +86,6 @@ impl QuantileSketch {
 
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Element-wise merge; the result is identical no matter how the
-    /// observations were split between `self` and `other`.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Integer mean of every observation (floor division; 0 when empty).
@@ -182,27 +169,6 @@ mod tests {
             assert!(est <= exact, "q{q}: estimate {est} above exact {exact}");
             let err = (exact - est) * 100 / exact;
             assert!(err <= 7, "q{q}: relative error {err}% too large");
-        }
-    }
-
-    #[test]
-    fn merge_is_partition_independent() {
-        let values: Vec<u64> = (0..5000u64).map(|i| i.wrapping_mul(2654435761) >> 20).collect();
-        let mut whole = QuantileSketch::new();
-        for &v in &values {
-            whole.observe(v);
-        }
-        for parts in [2usize, 3, 7] {
-            let mut shards: Vec<QuantileSketch> =
-                (0..parts).map(|_| QuantileSketch::new()).collect();
-            for (i, &v) in values.iter().enumerate() {
-                shards[i % parts].observe(v);
-            }
-            let mut merged = QuantileSketch::new();
-            for s in &shards {
-                merged.merge(s);
-            }
-            assert_eq!(merged.to_json(), whole.to_json(), "{parts}-way split diverged");
         }
     }
 

@@ -32,10 +32,11 @@ echo "== harbor-postmortem --check"
 cargo run -q -p harbor-fleet --bin harbor-postmortem -- --check
 
 echo "== harbor-tower --check"
-# Gate: rollup bytes identical across serial/parallel stepping and shard
-# counts, exact reconciliation against raw NodeTelemetry (including the
-# turbo and prove legs), and a seeded 512-node crash-loop campaign that
-# must flag exactly the faulted cohort as unhealthy.
+# Gate: rollup bytes identical across serial/parallel stepping and turbo,
+# every rollup entry reconciled exactly against the sum of the nodes'
+# counter tables, prove differing only in stores_elided, and a seeded
+# 512-node crash-loop campaign that must flag exactly the faulted cohort
+# as unhealthy.
 cargo run -q --release -p harbor-fleet --bin harbor-tower -- --check
 
 echo "== harbor-pulse --check"
@@ -51,7 +52,7 @@ echo "== harbor-helm --check"
 # full canary ladder, a crash-looping image auto-rolls-back with every
 # canary node restored to its exact pre-rollout flash generation (and no
 # other node ever flashed), decision logs are byte-identical across
-# serial/parallel stepping, shard counts, turbo and prove, and a fleet
+# serial/parallel stepping, turbo and prove, and a fleet
 # with an idle controller attached reports byte-identical telemetry. The
 # 512-node campaign gates run on the reference engine and on turbo+prove.
 cargo run -q --release -p harbor-helm --bin harbor-helm -- --check

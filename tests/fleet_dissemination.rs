@@ -122,7 +122,7 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
             assert!(node.has_quarantined(id), "{engine}: node {v} quarantined the image");
             assert!(!node.has_installed(id), "{engine}: node {v} must not install it");
             assert_eq!(
-                node.telemetry.quarantined(),
+                node.telemetry().quarantined(),
                 1,
                 "{engine}: node {v} counted one quarantine"
             );
@@ -147,7 +147,7 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
         for v in 0..NODES {
             let node = fleet.node(v);
             assert!(node.has_installed(id), "{engine}: node {v} installed under the roomy policy");
-            assert_eq!(node.telemetry.quarantined(), 0, "{engine}: node {v}: no quarantines");
+            assert_eq!(node.telemetry().quarantined(), 0, "{engine}: node {v}: no quarantines");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Fleet-level harbor-helm integration: the closed-loop rollout
 //! controller's decision log must be byte-identical across serial and
-//! parallel stepping and across tower shard counts — as a property over
-//! random seeds, loss rates and schedules — and a condemned image's
+//! parallel stepping — as a property over random seeds, loss rates and
+//! worker counts — and a condemned image's
 //! rollback must restore every canary node's exact pre-rollout flash
 //! generation while never touching a non-canary node. Turbo and prove
 //! engines must drive the controller to the same decisions.
@@ -28,7 +28,7 @@ fn seed() -> u64 {
     }
 }
 
-fn build(seed: u64, loss: f64, threads: usize, shards: u32, turbo: bool, prove: bool) -> Fleet {
+fn build(seed: u64, loss: f64, threads: usize, turbo: bool, prove: bool) -> Fleet {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
@@ -39,7 +39,7 @@ fn build(seed: u64, loss: f64, threads: usize, shards: u32, turbo: bool, prove: 
         turbo,
         prove,
         cohorts: COHORTS,
-        tower: Some(TowerConfig { shards, ..TowerConfig::default() }),
+        tower: Some(TowerConfig::default()),
         ..FleetConfig::default()
     };
     Fleet::new(&cfg, &[modules::blink(0), modules::tree_routing(1)]).expect("fleet builds")
@@ -91,15 +91,8 @@ struct Campaigns {
 /// The canonical two-campaign scenario: warm up, promote a healthy Surge
 /// through the 1 → 1 → 2 cohort ladder, then let a crash-looping Surge
 /// get condemned by the controller.
-fn campaigns(
-    seed: u64,
-    loss: f64,
-    threads: usize,
-    shards: u32,
-    turbo: bool,
-    prove: bool,
-) -> Campaigns {
-    let mut run = HelmRun::new(build(seed, loss, threads, shards, turbo, prove));
+fn campaigns(seed: u64, loss: f64, threads: usize, turbo: bool, prove: bool) -> Campaigns {
+    let mut run = HelmRun::new(build(seed, loss, threads, turbo, prove));
     for _ in 0..WARMUP {
         tick(&mut run, None, None);
         run.step_round();
@@ -125,35 +118,22 @@ fn campaigns(
     Campaigns { run, good_id, good_state, good_log, bad_id, bad_state, pre_flash }
 }
 
-fn decision_logs(
-    seed: u64,
-    loss: f64,
-    threads: usize,
-    shards: u32,
-    turbo: bool,
-    prove: bool,
-) -> String {
-    let c = campaigns(seed, loss, threads, shards, turbo, prove);
+fn decision_logs(seed: u64, loss: f64, threads: usize, turbo: bool, prove: bool) -> String {
+    let c = campaigns(seed, loss, threads, turbo, prove);
     format!("{}\n{}", c.good_log, c.run.helm().expect("bad campaign ran").log_json())
 }
 
 /// The headline invariant: the controller's full decision history is
-/// byte-identical no matter how many worker threads stepped the fleet or
-/// how many shards aggregated the rollup it observed.
+/// byte-identical no matter how many worker threads stepped the fleet.
 #[test]
-fn decision_logs_are_schedule_and_shard_independent() {
-    let reference = decision_logs(seed(), 0.1, 1, 4, false, false);
+fn decision_logs_are_schedule_independent() {
+    let reference = decision_logs(seed(), 0.1, 1, false, false);
     assert!(reference.contains("\"decision\":\"roll-back\""), "bad campaign rolled back");
-    assert_eq!(
-        reference,
-        decision_logs(seed(), 0.1, 4, 4, false, false),
-        "parallel stepping diverged"
-    );
-    for shards in [1u32, 3, 7] {
+    for threads in [4, 8] {
         assert_eq!(
             reference,
-            decision_logs(seed(), 0.1, 4, shards, false, false),
-            "{shards} shards diverged"
+            decision_logs(seed(), 0.1, threads, false, false),
+            "{threads}-worker stepping diverged"
         );
     }
 }
@@ -163,9 +143,9 @@ fn decision_logs_are_schedule_and_shard_independent() {
 /// and writes the same decision log.
 #[test]
 fn turbo_and_prove_reach_identical_decisions() {
-    let reference = decision_logs(seed(), 0.1, 4, 4, false, false);
-    assert_eq!(reference, decision_logs(seed(), 0.1, 4, 4, true, false), "turbo diverged");
-    assert_eq!(reference, decision_logs(seed(), 0.1, 4, 4, false, true), "prove diverged");
+    let reference = decision_logs(seed(), 0.1, 4, false, false);
+    assert_eq!(reference, decision_logs(seed(), 0.1, 4, true, false), "turbo diverged");
+    assert_eq!(reference, decision_logs(seed(), 0.1, 4, false, true), "prove diverged");
 }
 
 /// A condemned image leaves no trace: every canary node is back on its
@@ -174,7 +154,7 @@ fn turbo_and_prove_reach_identical_decisions() {
 /// rollout gate kept the blast radius to the canary cohort.
 #[test]
 fn rollback_restores_pre_rollout_flash_state() {
-    let mut c = campaigns(seed(), 0.1, 4, 4, false, false);
+    let mut c = campaigns(seed(), 0.1, 4, false, false);
     assert_eq!(c.good_state, RolloutState::Done, "good campaign promoted");
     assert_eq!(c.bad_state, RolloutState::RolledBack, "bad campaign condemned");
     assert_eq!(c.run.fleet().known_good(), Some(c.good_id), "known-good preserved");
@@ -185,12 +165,8 @@ fn rollback_restores_pre_rollout_flash_state() {
     let mut restores = 0u64;
     for i in 0..fleet.len() {
         let n = fleet.node(i);
-        let (generation, installed, cohort, restored) = (
-            n.sys.flash_generation(),
-            n.has_installed(bad_id),
-            n.cohort,
-            n.telemetry.metrics.counter("helm.rollbacks"),
-        );
+        let (generation, installed, cohort, restored) =
+            (n.sys.flash_generation(), n.has_installed(bad_id), n.cohort, n.counters().rollbacks);
         assert_eq!(generation, c.pre_flash[i], "node {i} flash generation restored");
         assert!(!installed, "node {i} still has the bad image");
         if cohort == canary_cohort {
@@ -217,9 +193,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Decision determinism as a property: for any seed, loss rate,
-    /// worker count and shard count, the campaign decision logs equal the
-    /// serial single-shard run's, byte for byte. `salt` folds in
+    /// Decision determinism as a property: for any seed, loss rate and
+    /// partition of the fleet among worker threads, the campaign decision
+    /// logs equal the serial run's, byte for byte. `salt` folds in
     /// `HARBOR_SEED` so the campaign moves with the repo-wide seed while
     /// staying reproducible.
     #[test]
@@ -227,11 +203,10 @@ proptest! {
         salt in 0u64..1_000_000,
         loss_pct in 0u32..30,
         threads in 2usize..6,
-        shards in 2u32..9,
     ) {
         let s = seed() ^ salt;
         let loss = f64::from(loss_pct) / 100.0;
-        let reference = decision_logs(s, loss, 1, 1, false, false);
-        prop_assert_eq!(&reference, &decision_logs(s, loss, threads, shards, false, false));
+        let reference = decision_logs(s, loss, 1, false, false);
+        prop_assert_eq!(&reference, &decision_logs(s, loss, threads, false, false));
     }
 }
