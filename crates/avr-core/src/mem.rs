@@ -4,6 +4,7 @@
 use crate::exec::{CallEvent, CallOutcome, Env, RetOutcome};
 use crate::isa::{encode, Instr};
 use crate::{Fault, WordAddr};
+use std::sync::Arc;
 
 /// Flash size in 16-bit words (128 KiB).
 pub const FLASH_WORDS: usize = 0x1_0000;
@@ -19,6 +20,9 @@ pub const SRAM_SIZE: usize = 4000;
 pub const RAMEND: u16 = SRAM_BASE + SRAM_SIZE as u16 - 1;
 /// Flash page size in bytes — the allocation unit for jump tables.
 pub const FLASH_PAGE_BYTES: usize = 256;
+// Flash page size in 16-bit words, and the number of pages.
+const FLASH_PAGE_WORDS: usize = FLASH_PAGE_BYTES / 2;
+const FLASH_PAGES: usize = FLASH_WORDS / FLASH_PAGE_WORDS;
 
 /// Simulator debug port: bytes written here are captured by the environment
 /// (a poor man's UART for tests and examples). Unused on a real ATmega103.
@@ -30,10 +34,23 @@ pub const PORT_DEBUG: u8 = 0x1a;
 /// the harness, mirroring how the UMPU hardware reports faults.
 pub const PORT_PANIC: u8 = 0x19;
 
-/// 128 KiB of program flash, word-addressed.
+/// 128 KiB of program flash, word-addressed, held as 512 copy-on-write
+/// pages of 128 words (one [`FLASH_PAGE_BYTES`] page each).
+///
+/// A clone shares every page with its source, so a fleet of clones of one
+/// booted prototype (and every checkpoint of a node) holds one copy of the
+/// flash they have in common. Ownership is the rule a memory allocator's
+/// blocks keep (a block owns its range, and no two writable ranges may
+/// overlap), enforced by the type: the only write path,
+/// [`Flash::set_word`], goes through [`Arc::make_mut`], which copies a
+/// shared page before writing to it. No clone can therefore see another
+/// clone's burn, and a clone owns exactly the pages it has written since
+/// it was made.
 #[derive(Debug, Clone)]
 pub struct Flash {
-    words: Vec<u16>,
+    // Fixed-size, so the page and word indices of a wrapped address are
+    // in bounds by construction.
+    pages: Box<[Arc<[u16; FLASH_PAGE_WORDS]>; FLASH_PAGES]>,
 }
 
 impl Default for Flash {
@@ -43,20 +60,25 @@ impl Default for Flash {
 }
 
 impl Flash {
-    /// Creates erased (all-ones, like real flash) program memory.
+    /// Creates erased (all-ones, like real flash) program memory. Every
+    /// page starts as one shared erased page.
     pub fn new() -> Flash {
-        Flash { words: vec![0xffff; FLASH_WORDS] }
+        let erased = Arc::new([0xffff; FLASH_PAGE_WORDS]);
+        Flash { pages: Box::new(std::array::from_fn(|_| Arc::clone(&erased))) }
     }
 
     /// Reads the word at `addr` (wraps at the flash size, like the PC does).
     pub fn word(&self, addr: WordAddr) -> u16 {
-        self.words[addr as usize % FLASH_WORDS]
+        let a = addr as usize % FLASH_WORDS;
+        self.pages[a / FLASH_PAGE_WORDS][a % FLASH_PAGE_WORDS]
     }
 
     /// Writes one word (host-side loader operation; the simulated CPU cannot
     /// write flash — modules "are not allowed to directly write to flash").
+    /// A page shared with another clone is copied first.
     pub fn set_word(&mut self, addr: WordAddr, w: u16) {
-        self.words[addr as usize % FLASH_WORDS] = w;
+        let a = addr as usize % FLASH_WORDS;
+        Arc::make_mut(&mut self.pages[a / FLASH_PAGE_WORDS])[a % FLASH_PAGE_WORDS] = w;
     }
 
     /// Reads a byte using LPM addressing (byte address; bit 0 selects the
@@ -349,6 +371,81 @@ mod tests {
         assert_eq!(f.byte(0x21), 0xbe);
         f.set_byte(0x21, 0x12);
         assert_eq!(f.word(0x10), 0x12ef);
+    }
+
+    /// How many page slots of `a` and `b` hold the same shared page.
+    fn shared_pages(a: &Flash, b: &Flash) -> usize {
+        a.pages.iter().zip(b.pages.iter()).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
+    }
+
+    #[test]
+    fn a_clone_shares_every_page() {
+        let mut f = Flash::new();
+        f.load_words(0x100, &[1, 2, 3]);
+        let c = f.clone();
+        assert_eq!(shared_pages(&f, &c), FLASH_PAGES);
+        assert_eq!(c.word(0x101), 2);
+    }
+
+    #[test]
+    fn a_write_unshares_exactly_its_page() {
+        let mut f = Flash::new();
+        f.load_words(0x100, &[1, 2, 3]);
+        let mut c = f.clone();
+        c.set_word(0x101, 0xbeef);
+        assert_eq!(shared_pages(&f, &c), FLASH_PAGES - 1);
+        assert!(!Arc::ptr_eq(
+            &f.pages[0x100 / FLASH_PAGE_WORDS],
+            &c.pages[0x100 / FLASH_PAGE_WORDS]
+        ));
+        assert_eq!((c.word(0x100), c.word(0x101), c.word(0x102)), (1, 0xbeef, 3));
+        assert_eq!((f.word(0x100), f.word(0x101), f.word(0x102)), (1, 2, 3), "source unchanged");
+
+        // A page that is still erased is shared too: the first write to it
+        // copies it, and the source stays erased.
+        c.set_word(0x8000, 0x1234);
+        assert_eq!(shared_pages(&f, &c), FLASH_PAGES - 2);
+        assert_eq!(f.word(0x8000), 0xffff);
+        assert_eq!(c.word(0x8001), 0xffff, "the copy keeps the page's other words");
+
+        // Writing to a page the clone already owns copies nothing more.
+        c.set_word(0x102, 7);
+        assert_eq!(shared_pages(&f, &c), FLASH_PAGES - 2);
+        assert_eq!(f.word(0x102), 3);
+    }
+
+    #[test]
+    fn load_words_crosses_a_page_boundary() {
+        let mut f = Flash::new();
+        let at = 3 * FLASH_PAGE_WORDS as u32 - 2;
+        f.load_words(at, &[0xa0, 0xa1, 0xa2, 0xa3]);
+        let got: Vec<u16> = (at - 1..at + 5).map(|a| f.word(a)).collect();
+        assert_eq!(got, [0xffff, 0xa0, 0xa1, 0xa2, 0xa3, 0xffff]);
+    }
+
+    #[test]
+    fn addresses_wrap_at_the_flash_size() {
+        let mut f = Flash::new();
+        let size = FLASH_WORDS as u32;
+        f.set_word(size + 5, 0x1234);
+        assert_eq!(f.word(5), 0x1234);
+        assert_eq!(f.word(2 * size + 5), 0x1234);
+        f.load_words(size - 1, &[0xaaaa, 0xbbbb]);
+        assert_eq!((f.word(size - 1), f.word(0)), (0xaaaa, 0xbbbb));
+        assert_eq!(f.byte(2 * size), 0xbb, "byte addresses wrap with their word");
+    }
+
+    #[test]
+    fn set_byte_writes_either_half_of_a_word() {
+        let mut f = Flash::new();
+        f.set_word(0x20, 0x0000);
+        let mut c = f.clone();
+        c.set_byte(0x40, 0x34);
+        assert_eq!(c.word(0x20), 0x0034, "even byte: low half");
+        c.set_byte(0x41, 0x12);
+        assert_eq!(c.word(0x20), 0x1234, "odd byte: high half");
+        assert_eq!((c.byte(0x40), c.byte(0x41)), (0x34, 0x12));
+        assert_eq!(f.word(0x20), 0x0000, "the source is untouched");
     }
 
     #[test]

@@ -348,8 +348,9 @@ fn drain<'b, 'n: 'b>(
 impl Fleet {
     /// Builds and boots `cfg.nodes` identical nodes, each running `sources`
     /// under `cfg.protection`. One prototype system is built and booted,
-    /// then cloned per node — machine state is a plain value, so every node
-    /// starts bit-identical.
+    /// then cloned per node — machine state is a value, so every node
+    /// starts bit-identical. The clones share the prototype's kernel image
+    /// and flash pages; a node copies a page only when it burns it.
     ///
     /// # Errors
     ///
@@ -870,6 +871,15 @@ impl Fleet {
             self.feed_tower(round, false);
             self.tower.as_ref().expect("tower attached").rollup()
         })
+    }
+
+    /// The rollup as the last [`Fleet::step_round`]'s feed left it, with no
+    /// residual drain. Until a host-side call moves a counter (a post, a
+    /// rollout command), it equals [`Fleet::tower_rollup`], and it reads
+    /// no node: the read a controller makes right after stepping. `None`
+    /// unless the config attached a tower.
+    pub fn round_rollup(&self) -> Option<FleetRollup> {
+        self.tower.as_ref().map(Tower::rollup)
     }
 
     /// Snapshot of the pulse profiler: per-phase sketches, worker stats,

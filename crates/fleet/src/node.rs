@@ -106,7 +106,10 @@ pub struct Node {
     gate: BTreeMap<u16, bool>,
     // Pre-flash checkpoint of the whole machine, taken immediately before
     // a gated rollout image is burned. Restoring it is what makes
-    // auto-rollback land on the *exact* pre-rollout flash generation.
+    // auto-rollback land on the *exact* pre-rollout flash generation. The
+    // clone shares the kernel image and every flash page with the live
+    // machine, and the install copies only the pages it burns, so a
+    // checkpoint costs SRAM, registers and those pages.
     checkpoint: Option<(u16, Box<SosSystem>)>,
     rng: StdRng,
 }

@@ -120,7 +120,9 @@ impl HelmRun {
         if helm.state().terminal() {
             return;
         }
-        let rollup = self.fleet.tower_rollup().expect("admitted campaigns require a tower");
+        // The feed inside `step_round` left every counter routed, so the
+        // rollup needs no second pass over the nodes.
+        let rollup = self.fleet.round_rollup().expect("admitted campaigns require a tower");
         let round = self.fleet.round();
         let id = helm.plan().image;
         let commands = helm.observe(round, &rollup);

@@ -67,16 +67,21 @@ pub const ENGINES: [(bool, bool); 4] = [(false, false), (true, false), (false, t
 
 /// A complete mini-SOS machine.
 ///
-/// The whole machine state is a plain value: `Clone` gives deterministic
-/// snapshot/restore (used by benches to replay identical runs).
+/// The whole machine state is a value: `Clone` gives deterministic
+/// snapshot/restore (fleet nodes are clones of one booted prototype, and a
+/// helm canary's checkpoint is a clone of the node). A clone shares what
+/// never changes after build, the kernel image and the SFI run-time, and
+/// every flash page it has in common with its source (see [`Flash`]). It
+/// copies the registers, SRAM and the rest of the machine state, and later
+/// owns a private copy of each flash page it burns.
 #[derive(Debug, Clone)]
 pub struct SosSystem {
     /// The protection build.
     pub protection: Protection,
     /// The layout.
     pub layout: SosLayout,
-    /// The kernel image (for symbol lookups).
-    pub kernel: KernelImage,
+    /// The kernel image (for symbol lookups), shared by every clone.
+    pub kernel: Arc<KernelImage>,
     /// The SFI run-time (SFI builds), shared process-wide per layout (see
     /// [`SfiRuntime::shared`]).
     pub runtime: Option<Arc<SfiRuntime>>,
@@ -153,7 +158,7 @@ impl SosSystem {
         let stubs =
             runtime.as_ref().map(|rt| (rt.stub("harbor_xdom_call"), rt.stub("harbor_xdom_call_z")));
 
-        let kernel = KernelImage::build(protection, layout, stubs, app);
+        let kernel = Arc::new(KernelImage::build(protection, layout, stubs, app));
 
         let modules: Vec<LoadedModule> = sources
             .iter()
@@ -244,34 +249,50 @@ impl SosSystem {
     }
 
     /// Re-derives every module's store certificate and publishes the union
-    /// elision map — called at each point the set of loaded modules (or
-    /// their flash) changes: build, install, unload. Always bumps the
-    /// flash generation so decoded fast-path pages (which bake the elision
-    /// bit per slot) can never outlive the map they were built against.
+    /// elision map (see [`SosSystem::publish_elision`]) — called when
+    /// [`SosSystem::set_prove`] switches elision on or off. Installs and
+    /// unloads change one module, so they certify (or drop) only that
+    /// module's certificate.
     fn rebuild_elision(&mut self) {
-        self.store_certs.clear();
-        let map = if self.prove && self.protection == Protection::Umpu {
-            let mut map = umpu::ElisionMap::new();
-            for m in &self.modules {
-                let seg = self.layout.state_addr(m.domain.index());
-                let len = self.layout.state_len();
-                if let Ok(cert) = harbor_flow::certify_module_stores(
-                    m.object.words(),
-                    m.object.origin(),
-                    &m.entry_addrs,
-                    seg,
-                    len,
-                ) {
-                    for pc in cert.certified_pcs() {
-                        map.set(pc);
-                    }
-                    self.store_certs.push((m.domain, cert));
-                }
+        self.store_certs =
+            self.modules.iter().filter_map(|m| Some((m.domain, self.certify(m)?))).collect();
+        self.publish_elision();
+    }
+
+    /// `m`'s store certificate, if elision is on under UMPU and the module
+    /// certifies. It depends only on the module's own words, origin,
+    /// entries and state segment.
+    fn certify(&self, m: &LoadedModule) -> Option<harbor_flow::StoreCertificate> {
+        if !self.prove || self.protection != Protection::Umpu {
+            return None;
+        }
+        let seg = self.layout.state_addr(m.domain.index());
+        let len = self.layout.state_len();
+        harbor_flow::certify_module_stores(
+            m.object.words(),
+            m.object.origin(),
+            &m.entry_addrs,
+            seg,
+            len,
+        )
+        .ok()
+    }
+
+    /// Publishes the union of the kept certificates as the env's elision
+    /// map — at each point the set of certificates can change:
+    /// [`SosSystem::set_prove`], install, unload. Always bumps the flash
+    /// generation so decoded fast-path pages (which bake the elision bit
+    /// per slot) can never outlive the map they were built against.
+    fn publish_elision(&mut self) {
+        // Built only if some store is certified: every install and unload
+        // publishes, with prove on or off.
+        let mut map = None;
+        for (_, cert) in &self.store_certs {
+            for pc in cert.certified_pcs() {
+                map.get_or_insert_with(umpu::ElisionMap::new).set(pc);
             }
-            (!map.is_empty()).then(|| std::sync::Arc::new(map))
-        } else {
-            None
-        };
+        }
+        let map = map.filter(|m| !m.is_empty()).map(Arc::new);
         self.flash_generation += 1;
         self.certs_generation = self.flash_generation;
         if let Mach::Umpu(c) = &mut self.mach {
@@ -609,8 +630,11 @@ impl SosSystem {
         }
 
         let dom = loaded.domain;
+        if let Some(cert) = self.certify(&loaded) {
+            self.store_certs.push((dom, cert));
+        }
         self.modules.push(loaded);
-        self.rebuild_elision();
+        self.publish_elision();
         self.modules_installed += 1;
         let cycles = self.cycles();
         self.emit(Event::ModuleInstall { cycles, domain: dom.index() });
@@ -665,7 +689,8 @@ impl SosSystem {
                 // module's heap memory cannot be identified — it leaks.
             }
         }
-        self.rebuild_elision();
+        self.store_certs.retain(|(d, _)| *d != dom);
+        self.publish_elision();
         self.modules_unloaded += 1;
         let cycles = self.cycles();
         self.emit(Event::ModuleUnload { cycles, domain: dom.index() });

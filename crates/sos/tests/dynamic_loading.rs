@@ -178,3 +178,40 @@ fn unprotected_unload_leaks_by_construction() {
         assert_eq!(used_bits(&sys), before, "{engine}: the unprotected build cannot reclaim");
     }
 }
+
+#[test]
+fn installs_and_unloads_keep_the_certificates_a_fresh_build_derives() {
+    // Install and unload certify (or drop) only the module they change.
+    // After every step of install → unload → reinstall, the certificates
+    // must be exactly those a freshly built system holding the same
+    // modules derives, in the same order, and current: derived under the
+    // system's present flash generation, as the fresh build's are.
+    let blink = || modules::blink(0);
+    let surge = || modules::surge_fixed(3, 1);
+    let tree = || modules::tree_routing(1);
+    for (turbo, prove) in ENGINES {
+        let engine = format!("turbo={turbo} prove={prove}");
+        let mut sys =
+            SosSystem::build(Protection::Umpu, &[blink(), tree()], scheduler_app).unwrap();
+        sys.set_prove(prove);
+        sys.set_turbo(turbo);
+        sys.boot().unwrap();
+        let check = |sys: &SosSystem, sources: &[mini_sos::ModuleSource], step: &str| {
+            let mut fresh = SosSystem::build(Protection::Umpu, sources, scheduler_app).unwrap();
+            fresh.set_prove(prove);
+            let ((certs, generation), (expected, fresh_generation)) =
+                (sys.store_certificates(), fresh.store_certificates());
+            assert_eq!(certs, expected, "{engine} after {step}");
+            assert_eq!(certs.len(), if prove { sources.len() } else { 0 }, "{engine} after {step}");
+            assert_eq!(generation, sys.flash_generation(), "{engine} after {step}");
+            assert_eq!(fresh_generation, fresh.flash_generation(), "{engine} fresh, {step}");
+        };
+        check(&sys, &[blink(), tree()], "boot");
+        sys.load_module(&surge()).unwrap();
+        check(&sys, &[blink(), tree(), surge()], "installing surge");
+        sys.unload_module(DomainId::num(1));
+        check(&sys, &[blink(), surge()], "unloading tree routing");
+        sys.load_module(&tree()).unwrap();
+        check(&sys, &[blink(), surge(), tree()], "reinstalling tree routing");
+    }
+}
