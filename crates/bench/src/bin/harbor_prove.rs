@@ -1,28 +1,18 @@
-//! `harbor-prove`: the store-certificate inspection tool and CI gate.
+//! `harbor-prove`: the store-certificate inspection tool.
 //!
-//! Default mode prints, for every in-tree module admitted into a UMPU
-//! system, the `harbor-flow` store certificate the loader derives: how many
-//! stores the dataflow pass proved to land inside the module's own state
-//! segment (and may therefore skip the memory-map-checker walk), plus the
+//! It prints, for every in-tree module admitted into a UMPU system, the
+//! `harbor-flow` store certificate the loader derives: how many stores the
+//! dataflow pass proved to land inside the module's own state segment
+//! (and may therefore skip the memory-map-checker walk), plus the
 //! certificate digest. The table feeds `EXPERIMENTS.md`.
 //!
 //! ```sh
 //! cargo run --release -p harbor-bench --bin harbor_prove
 //! ```
 //!
-//! `--check` runs the CI gate instead:
-//!
-//! 1. **determinism** — two independently built systems must derive
-//!    byte-identical certificates (same digests, same counts);
-//! 2. **elision floor** — every module's elision rate is pinned to a golden
-//!    floor below; a drop means the dataflow pass lost precision;
-//! 3. **identity** — a small fleet stepped with elision on is byte-identical
-//!    to the reference run (and, in debug builds, every elided store re-runs
-//!    the full dynamic check under `debug_assert!` parity).
+//! This binary's tests pin the table, derive it twice to show it is
+//! deterministic, and run a small fleet with elision on and off.
 
-use harbor::DomainId;
-use harbor_fleet::{Fleet, FleetConfig, NetConfig};
-use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{modules, Protection, SosSystem};
 
 /// The workload whose certificates the tool reports: every demo module that
@@ -37,21 +27,6 @@ fn workload() -> Vec<mini_sos::loader::ModuleSource> {
         modules::consumer(5, 4),
     ]
 }
-
-/// Golden per-module elision-rate floors (fraction of static stores the
-/// dataflow pass certifies). `surge_fixed`, `producer` and `consumer` store
-/// through malloc'd or cross-domain pointers, which are *correctly* refused
-/// — only their direct state writes certify. Update a floor only for an
-/// intentional module or analysis change, never to paper over a precision
-/// regression.
-const FLOORS: &[(&str, f64)] = &[
-    ("blink", 1.0),
-    ("tree_routing", 1.0),
-    ("stress_store", 1.0),
-    ("surge_fixed", 0.80),
-    ("producer", 0.75),
-    ("consumer", 1.0),
-];
 
 struct Row {
     name: &'static str,
@@ -100,79 +75,7 @@ fn rate(r: &Row) -> f64 {
     }
 }
 
-/// The CI gate: determinism, pinned floors, fleet identity.
-fn check() {
-    // 1. Determinism: independent builds, identical certificates.
-    let a = derive();
-    let b = derive();
-    assert_eq!(a.len(), b.len(), "certificate count diverged between builds");
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            (x.name, x.certified, x.total, x.digest),
-            (y.name, y.certified, y.total, y.digest),
-            "certificate for `{}` is not deterministic",
-            x.name
-        );
-    }
-
-    // 2. Elision floors.
-    for row in &a {
-        let &(_, floor) = FLOORS
-            .iter()
-            .find(|(n, _)| *n == row.name)
-            .unwrap_or_else(|| panic!("no pinned floor for module `{}`", row.name));
-        assert!(
-            rate(row) >= floor,
-            "`{}` elision rate {:.3} fell below the pinned floor {floor:.3} \
-             ({}/{} stores certified); the dataflow pass lost precision",
-            row.name,
-            rate(row),
-            row.certified,
-            row.total,
-        );
-    }
-
-    // 3. Fleet identity: elision on == reference, byte for byte. In debug
-    //    builds this also exercises the per-store `debug_assert!` parity.
-    let run = |prove: bool| {
-        let cfg = FleetConfig {
-            nodes: 8,
-            protection: Protection::Umpu,
-            seed: 0x5c09e,
-            net: NetConfig { loss: 0.1, ..NetConfig::default() },
-            threads: 1,
-            prove,
-            ..FleetConfig::default()
-        };
-        let mut fleet = Fleet::new(
-            &cfg,
-            &[modules::blink(0), modules::tree_routing(1), modules::stress_store(2)],
-        )
-        .expect("fleet builds");
-        for _ in 0..12 {
-            for dom in [0, 1, 2] {
-                fleet.post_all(DomainId::num(dom), MSG_TIMER);
-            }
-            fleet.step_round();
-        }
-        fleet.telemetry().comparable_json()
-    };
-    assert_eq!(run(false), run(true), "elision perturbed the fleet");
-
-    let certified: u32 = a.iter().map(|r| r.certified).sum();
-    let total: u32 = a.iter().map(|r| r.total).sum();
-    println!(
-        "harbor_prove --check: ok ({} modules, {certified}/{total} stores certified, \
-         deterministic, fleet identical)",
-        a.len()
-    );
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        check();
-        return;
-    }
     let rows = derive();
     println!(
         "{:<14} {:>6} {:>10} {:>7} {:>6}  digest",
@@ -199,4 +102,66 @@ fn main() {
         total,
         100.0 * f64::from(certified) / f64::from(total.max(1))
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harbor::DomainId;
+    use harbor_fleet::{Fleet, FleetConfig, NetConfig};
+    use mini_sos::kernel::MSG_TIMER;
+
+    /// The table EXPERIMENTS.md quotes, derived twice from independently
+    /// built systems: the same digests, and per module the stores the
+    /// dataflow pass certifies, 31 of 33 in all. The two refused stores,
+    /// one each in `surge_fixed` and `producer`, go through malloc'd
+    /// buffer pointers, run-time data the pass correctly refuses. Update a
+    /// row only for an intentional module or analysis change, never to
+    /// paper over a precision regression.
+    #[test]
+    fn certificate_table_is_deterministic_and_pinned() {
+        let (a, b) = (derive(), derive());
+        let key = |r: &Row| (r.name, r.domain, r.certified, r.total, r.digest);
+        assert_eq!(a.iter().map(key).collect::<Vec<_>>(), b.iter().map(key).collect::<Vec<_>>());
+        let counts: Vec<_> = a.iter().map(|r| (r.name, r.domain, r.certified, r.total)).collect();
+        assert_eq!(
+            counts,
+            [
+                ("blink", 0, 2, 2),
+                ("tree_routing", 1, 2, 2),
+                ("stress_store", 2, 17, 17),
+                ("surge_fixed", 3, 4, 5),
+                ("producer", 4, 3, 4),
+                ("consumer", 5, 3, 3),
+            ]
+        );
+    }
+
+    /// An 8-node fleet stepped with elision on reports the reference
+    /// run's telemetry, byte for byte. In a debug build every elided
+    /// store also re-runs the full dynamic check under `debug_assert!`.
+    #[test]
+    fn elision_leaves_the_fleet_telemetry_identical() {
+        let run = |prove: bool| {
+            let cfg = FleetConfig {
+                nodes: 8,
+                protection: Protection::Umpu,
+                seed: 0x5c09e,
+                net: NetConfig { loss: 0.1, ..NetConfig::default() },
+                threads: 1,
+                prove,
+                ..FleetConfig::default()
+            };
+            let mods = [modules::blink(0), modules::tree_routing(1), modules::stress_store(2)];
+            let mut fleet = Fleet::new(&cfg, &mods).expect("fleet builds");
+            for _ in 0..12 {
+                for dom in [0, 1, 2] {
+                    fleet.post_all(DomainId::num(dom), MSG_TIMER);
+                }
+                fleet.step_round();
+            }
+            fleet.telemetry().comparable_json()
+        };
+        assert_eq!(run(false), run(true), "elision perturbed the fleet");
+    }
 }

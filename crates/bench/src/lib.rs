@@ -9,8 +9,8 @@
 //! disassembled) check routines, as documented in `EXPERIMENTS.md`. The
 //! values EXPERIMENTS.md quotes are pinned by each module's tests.
 //!
-//! The `harbor_prove --check` binary is the store-certificate gate. Host
-//! time is measured by `harbor_benchmark`, not here.
+//! The `harbor_prove` binary prints the store-certificate table, and its
+//! tests pin it. Host time is measured by `harbor_benchmark`, not here.
 
 pub mod report;
 pub mod table3;

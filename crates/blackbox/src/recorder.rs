@@ -1,7 +1,7 @@
 //! The flight recorder: always-on, bounded-cost observability a deployed
 //! node can afford, frozen into a [`Postmortem`] when a fault fires.
 //!
-//! The recorder rides the existing [`ScopeSink`](harbor_scope::ScopeSink)
+//! The recorder rides the existing [`ScopeSink`]
 //! plumbing: it wants a *masked* ring attached to the system
 //! ([`RECORDER_MASK`]) so the per-store check events — tens of thousands
 //! per slice, filtered out by one bit test *before* the event is even

@@ -7,8 +7,8 @@
 //! [`reconstruct`] replays them in order, tracking the active domain the
 //! way the hardware domain tracker did, and produces the cross-domain
 //! call timeline leading to the fault. [`Timeline::ends_at_fault`] is the
-//! invariant `harbor-postmortem --check` enforces: a dump's story must
-//! end at the faulting access recorded in its
+//! invariant `tests/fleet_blackbox.rs` enforces: a dump's story must end
+//! at the faulting access recorded in its
 //! [`FaultRecord`](mini_sos::FaultRecord).
 
 use crate::dump::Postmortem;
@@ -135,7 +135,7 @@ pub fn reconstruct(dump: &Postmortem) -> Timeline {
 }
 
 impl Timeline {
-    /// The `--check` invariant: the story's last step is the fault, and it
+    /// The dump invariant: the story's last step is the fault, and it
     /// matches the dump's fault record (same cycle, code and address).
     pub fn ends_at_fault(&self, dump: &Postmortem) -> bool {
         match (self.steps.last(), dump.events.last()) {

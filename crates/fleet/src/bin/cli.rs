@@ -1,18 +1,18 @@
-//! Minimal shared flag parsing for the `harbor-*` binaries.
+//! Minimal shared flag parsing for the `harbor-*` viewer binaries.
 //!
-//! Every CLI in this workspace takes the same shape of command line —
-//! boolean flags (`--check`, `--json`), a few valued flags
-//! (`--trace <id>`), and free arguments (dump files) — and each binary
-//! used to hand-roll its own `args.iter().any(...)` scan. This module is
-//! the one copy, included per-binary with `mod cli;` (or
-//! `#[path] mod cli;` from crates that cannot depend on `harbor-fleet`),
-//! deliberately not a library export: it is CLI plumbing, not API.
+//! Every viewer in this workspace takes the same shape of command line —
+//! boolean flags (`--json`), a few valued flags (`--trace <id>`,
+//! `--nodes N`), and free arguments (dump files). This module is the one
+//! parser, included per-binary with `mod cli;` (or `#[path] mod cli;`
+//! from crates that cannot depend on `harbor-fleet`), deliberately not a
+//! library export: it is CLI plumbing, not API. The viewers only render;
+//! the invariants of their scenarios are `cargo test`'s.
 
 // Included by several binaries, none of which uses every helper.
 #![allow(dead_code)]
 
-/// The run's master seed: `HARBOR_SEED` if set (so a failing gate replays
-/// with `HARBOR_SEED=n`), `default` otherwise.
+/// The run's master seed: `HARBOR_SEED` if set (so a run replays with
+/// `HARBOR_SEED=n`), `default` otherwise.
 ///
 /// # Panics
 ///

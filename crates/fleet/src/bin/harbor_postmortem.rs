@@ -10,23 +10,16 @@
 //!
 //! # Report previously written dumps (--json for machine-readable output).
 //! cargo run -p harbor-fleet --bin harbor-postmortem -- target/blackbox/*.json
-//!
-//! # CI invariants.
-//! cargo run -p harbor-fleet --bin harbor-postmortem -- --check
 //! ```
 //!
-//! `--check` runs the built-in fleet scenario serially and in parallel and
-//! validates: (1) every fault a node raised froze exactly one dump; (2)
-//! each dump's reconstructed timeline ends at the faulting store recorded
-//! in its `FaultRecord`; (3) serial and parallel runs produce byte-identical
-//! dump JSON; (4) Lamport stamps are strictly monotone along every
-//! happens-before edge of the fleet's causal DAG; (5) every dump survives a
-//! JSON round-trip unchanged. Exits non-zero on any violation.
+//! `tests/fleet_blackbox.rs` holds the dumps' invariants: one dump per
+//! fault, timelines that end at the fault, lossless JSON, serial ≡
+//! parallel bytes and Lamport order along every causal edge.
 
 mod cli;
 
 use harbor::DomainId;
-use harbor_blackbox::{check_monotone, reconstruct, Postmortem};
+use harbor_blackbox::{reconstruct, Postmortem};
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{modules, Protection};
@@ -121,9 +114,7 @@ fn load_dump(path: &str) -> Result<Postmortem, String> {
 fn main() -> ExitCode {
     let cli = cli::Cli::parse();
     let files = cli.free(&[]);
-    if cli.flag("--check") {
-        run_checks()
-    } else if files.is_empty() {
+    if files.is_empty() {
         run_demo()
     } else {
         let mut dumps = Vec::with_capacity(files.len());
@@ -170,80 +161,4 @@ fn run_demo() -> ExitCode {
         out_dir.display()
     );
     ExitCode::SUCCESS
-}
-
-fn run_checks() -> ExitCode {
-    let mut failures = 0u32;
-    let mut fail = |msg: String| {
-        eprintln!("FAIL: {msg}");
-        failures += 1;
-    };
-
-    let mut serial = run_scenario(1);
-    let mut parallel = run_scenario(4);
-    let dumps = serial.dumps();
-
-    // (1) Every fault froze exactly one dump (the scenario stays within
-    // the recorder's dump budget).
-    let telemetry = serial.telemetry();
-    let faults = telemetry.total(harbor_fleet::NodeTelemetry::faults);
-    if faults == 0 {
-        fail("scenario raised no faults".to_string());
-    }
-    if faults != dumps.len() as u64 {
-        fail(format!("{faults} faults but {} dumps", dumps.len()));
-    }
-
-    for dump in &dumps {
-        let tag = format!("node {} round {}", dump.node, dump.round);
-
-        // (2) The reconstructed timeline ends at the faulting store.
-        let timeline = reconstruct(dump);
-        if !timeline.ends_at_fault(dump) {
-            fail(format!("{tag}: timeline does not end at the recorded fault"));
-        }
-        if timeline.steps.is_empty() {
-            fail(format!("{tag}: empty timeline"));
-        }
-
-        // (5) Deterministic JSON round-trip.
-        let json = dump.to_json();
-        match Postmortem::from_json(&json) {
-            Ok(back) => {
-                if back != *dump {
-                    fail(format!("{tag}: JSON round-trip changed the dump"));
-                }
-                if back.to_json() != json {
-                    fail(format!("{tag}: re-rendered JSON differs"));
-                }
-            }
-            Err(e) => fail(format!("{tag}: dump JSON does not parse: {e}")),
-        }
-    }
-
-    // (3) Serial and parallel runs freeze byte-identical dumps.
-    let serial_bytes: Vec<String> = dumps.iter().map(Postmortem::to_json).collect();
-    let parallel_bytes: Vec<String> = parallel.dumps().iter().map(Postmortem::to_json).collect();
-    if serial_bytes != parallel_bytes {
-        fail("serial and parallel dumps differ".to_string());
-    }
-
-    // (4) Lamport monotonicity over the whole happens-before DAG.
-    if let Err(e) = check_monotone(&serial.causal_logs()) {
-        fail(e);
-    }
-    if let Err(e) = check_monotone(&parallel.causal_logs()) {
-        fail(e);
-    }
-
-    if failures == 0 {
-        println!(
-            "harbor-postmortem --check: all invariants hold ({faults} faults, {} dumps)",
-            dumps.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("harbor-postmortem --check: {failures} failure(s)");
-        ExitCode::FAILURE
-    }
 }

@@ -1,6 +1,6 @@
 //! `harbor-tower`: the fleet-telemetry query surface — per-cohort
 //! fault-rate tables, health scores, top-K unhealthy nodes, dump lookup
-//! with causal-trace retrieval, JSON + Perfetto export, and a CI gate.
+//! with causal-trace retrieval, and JSON + Perfetto export.
 //!
 //! ```sh
 //! # Built-in demo: a cohorted fleet with one crash-looping cohort;
@@ -12,29 +12,18 @@
 //! cargo run -p harbor-fleet --bin harbor-tower -- --json
 //!
 //! # Postmortem + causal context for one dump id from the demo fleet.
-//! cargo run -p harbor-fleet --bin harbor-tower -- --trace n2-r9-c257121
-//!
-//! # CI invariants.
-//! cargo run -p harbor-fleet --bin harbor-tower -- --check
+//! cargo run -p harbor-fleet --bin harbor-tower -- --trace n2-r9-c5098
 //! ```
 //!
-//! `--check` validates the pipeline end to end: (1) serial and parallel
-//! stepping produce byte-identical rollups; (2) every rollup counter
-//! reconciles *exactly* against the sum of the nodes' counter tables (no
-//! sampling, no loss); (3) turbo execution changes nothing and prove
-//! changes exactly the `stores_elided` counter; (4) a seeded 512-node
-//! crash-loop campaign flags the faulted cohort — and only that cohort —
-//! as unhealthy, with the offender list, dump index and causal retrieval
-//! all agreeing. Exits non-zero on any violation.
+//! `tests/fleet_tower.rs` holds the rollup's identities and its exact
+//! reconciliation; this binary's tests run the crash loop at 512 nodes.
 
 mod cli;
 
 use harbor::DomainId;
 use harbor_blackbox::reconstruct;
-use harbor_fleet::{
-    BlackboxConfig, Fleet, FleetConfig, FleetRollup, ModuleImage, NetConfig, TowerConfig,
-};
-use harbor_tower::{chrome_trace, query, CounterSet};
+use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, TowerConfig};
+use harbor_tower::{chrome_trace, query};
 use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{modules, Protection};
 use std::process::ExitCode;
@@ -48,32 +37,27 @@ const BAD_COHORT: u32 = 2;
 /// Round the crash loop starts.
 const LOOP_START: u64 = 8;
 
-/// Rounds of the identity scenario (small) and the campaign (512 nodes).
+/// Rounds of the scenario.
 const ROUNDS: u64 = 28;
 
 /// Surge (without Tree Routing, so its timer handler faults) lives here.
 const SURGE_DOM: u8 = 3;
 
+/// The scenario's default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x70_3e_12;
+
 /// A cohorted fleet with the blackbox and tower attached: Blink ticks on
 /// every node, the bad cohort's Surge timer crash-loops from
 /// [`LOOP_START`], and (when `disseminate` is set) Tree Routing is pushed
 /// over the radio mid-run to exercise the install/lifecycle counters.
-fn run_scenario(
-    nodes: usize,
-    threads: usize,
-    turbo: bool,
-    prove: bool,
-    disseminate: bool,
-) -> Fleet {
+fn run_scenario(seed: u64, nodes: usize, threads: usize, disseminate: bool) -> Fleet {
     let cfg = FleetConfig {
         nodes,
         protection: Protection::Umpu,
-        seed: cli::seed(0x70_3e_12),
+        seed,
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         blackbox: Some(BlackboxConfig::default()),
-        turbo,
-        prove,
         cohorts: COHORTS,
         tower: Some(TowerConfig::default()),
         ..FleetConfig::default()
@@ -103,26 +87,23 @@ fn run_scenario(
 
 fn main() -> ExitCode {
     let cli = cli::Cli::parse();
-    if cli.flag("--check") {
-        run_checks()
-    } else if cli.flag("--json") {
-        let mut fleet = run_scenario(64, 0, false, false, true);
-        println!("{}", fleet.tower_rollup().expect("tower attached").to_json());
+    let demo = || run_scenario(cli::seed(SEED), 64, 0, true);
+    if cli.flag("--json") {
+        println!("{}", demo().tower_rollup().expect("tower attached").to_json());
         ExitCode::SUCCESS
     } else if cli.flag("--trace") {
         let Some(id) = cli.value("--trace") else {
             eprintln!("harbor-tower: --trace needs a dump id (n<node>-r<round>-c<cycles>)");
             return ExitCode::FAILURE;
         };
-        run_trace(id)
+        run_trace(demo(), id)
     } else {
-        run_demo()
+        run_demo(demo())
     }
 }
 
 /// Demo: tables on stdout, rollup JSON + Perfetto timeline on disk.
-fn run_demo() -> ExitCode {
-    let mut fleet = run_scenario(64, 0, false, false, true);
+fn run_demo(mut fleet: Fleet) -> ExitCode {
     let rollup = fleet.tower_rollup().expect("tower attached");
     println!("── cohorts ──");
     print!("{}", query::cohort_table(&rollup));
@@ -140,8 +121,7 @@ fn run_demo() -> ExitCode {
 
 /// Dump-id query: the indexed reference, the reconstructed postmortem
 /// timeline, and the node's causal-log context around the fault.
-fn run_trace(id: &str) -> ExitCode {
-    let mut fleet = run_scenario(64, 0, false, false, true);
+fn run_trace(mut fleet: Fleet, id: &str) -> ExitCode {
     let rollup = fleet.tower_rollup().expect("tower attached");
     let Some(dump_ref) = rollup.find_dump(id) else {
         eprintln!("harbor-tower: no dump {id}; known ids:");
@@ -180,156 +160,63 @@ fn run_trace(id: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_checks() -> ExitCode {
-    let failures = std::cell::Cell::new(0u32);
-    let fail = |msg: String| {
-        eprintln!("FAIL: {msg}");
-        failures.set(failures.get() + 1);
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harbor_tower::CounterSet;
 
-    // ── identity legs (small fleet, dissemination included) ──
-    let mut serial = run_scenario(24, 1, false, false, true);
-    let reference = serial.tower_rollup().expect("tower attached").to_json();
+    /// The crash loop at scale: 512 nodes in 8 cohorts at the default
+    /// seed, with cohort [`BAD_COHORT`]'s Surge faulting every round from
+    /// [`LOOP_START`]. One and four workers roll up the same bytes; the
+    /// tower flags that cohort and no other, with a regression edge no
+    /// earlier than the loop and every top offender inside it; every
+    /// indexed dump resolves to a frozen postmortem whose timeline ends at
+    /// the fault; and every rollup entry reconciles exactly against the
+    /// nodes' counter tables, one sample per node-round.
+    #[test]
+    fn crash_loop_at_512_nodes_flags_only_the_faulted_cohort() {
+        let mut fleet = run_scenario(SEED, 512, 4, false);
+        let rollup = fleet.tower_rollup().expect("tower attached");
+        let serial = run_scenario(SEED, 512, 1, false).tower_rollup().expect("tower attached");
+        assert_eq!(rollup.to_json(), serial.to_json(), "serial and parallel rollups differ");
 
-    let parallel = run_scenario(24, 4, false, false, true).tower_rollup().unwrap().to_json();
-    if parallel != reference {
-        fail("serial and parallel rollups differ".to_string());
-    }
-    let turbo = run_scenario(24, 4, true, false, true).tower_rollup().unwrap().to_json();
-    if turbo != reference {
-        fail("turbo rollup differs from the reference".to_string());
-    }
-
-    // Prove changes exactly one counter: stores_elided. Everything else —
-    // cycles, faults, radio traffic, dump ids — must match the reference
-    // field for field.
-    let mut prove_fleet = run_scenario(24, 4, false, true, true);
-    let prove_rollup = prove_fleet.tower_rollup().unwrap();
-    let ref_rollup = serial.tower_rollup().unwrap();
-    let (ref_totals, prove_totals) = (ref_rollup.totals(), prove_rollup.totals());
-    for (name, (r, p)) in
-        CounterSet::FIELDS.iter().zip(ref_totals.values().into_iter().zip(prove_totals.values()))
-    {
-        let agree = if *name == "stores_elided" { p > r } else { p == r };
-        if !agree {
-            fail(format!("prove leg: {name} diverged (reference {r}, prove {p})"));
+        assert_eq!(rollup.unhealthy(), [BAD_COHORT], "only the faulted cohort is unhealthy");
+        let health = rollup.health.iter().find(|h| h.cohort == BAD_COHORT).expect("scored");
+        let edge = health.regressed_at;
+        assert!(edge.is_some_and(|w| w >= LOOP_START), "regression edge at {edge:?}");
+        assert!(!rollup.top_nodes.is_empty(), "the loop produced offenders");
+        for n in &rollup.top_nodes {
+            assert_eq!(n.cohort, BAD_COHORT, "offender node {} is outside the cohort", n.node);
         }
-    }
-    let elided_metric = prove_fleet.telemetry().total(|n| n.metrics.counter("umpu.stores_elided"));
-    let elided_sys: u64 =
-        (0..prove_fleet.len()).map(|i| prove_fleet.node(i).sys.stores_elided()).sum();
-    if prove_totals.stores_elided != elided_metric || elided_metric != elided_sys {
-        fail(format!(
-            "stores_elided disagrees: rollup {} metric {elided_metric} env {elided_sys}",
-            prove_totals.stores_elided
-        ));
-    }
 
-    // ── exact reconciliation against the nodes' counter tables ──
-    failures.set(failures.get() + reconcile(&mut serial, &ref_rollup));
+        let frozen = fleet.dumps();
+        assert!(!rollup.dumps.is_empty(), "the loop indexed dumps");
+        for d in &rollup.dumps {
+            assert!(rollup.find_dump(&d.id).is_some(), "dump {} found by its own id", d.id);
+            let dump = frozen.iter().find(|f| f.node == d.node && f.fault.cycles == d.cycles);
+            let dump = dump.unwrap_or_else(|| panic!("dump {} has no frozen postmortem", d.id));
+            assert!(reconstruct(dump).ends_at_fault(dump), "dump {}: timeline ends early", d.id);
+        }
 
-    // ── the 512-node crash-loop campaign ──
-    let mut campaign = run_scenario(512, 4, false, false, false);
-    let rollup = campaign.tower_rollup().expect("tower attached");
-    let campaign_serial =
-        run_scenario(512, 1, false, false, false).tower_rollup().unwrap().to_json();
-    if rollup.to_json() != campaign_serial {
-        fail("512-node campaign: serial and parallel rollups differ".to_string());
-    }
-    if rollup.unhealthy() != vec![BAD_COHORT] {
-        fail(format!(
-            "campaign flagged cohorts {:?}, expected exactly [{BAD_COHORT}]",
-            rollup.unhealthy()
-        ));
-    }
-    let bad_health = rollup.health.iter().find(|h| h.cohort == BAD_COHORT).expect("cohort scored");
-    if bad_health.regressed_at.is_none_or(|w| w < LOOP_START) {
-        fail(format!(
-            "regression edge at {:?}, expected at or after round {LOOP_START}",
-            bad_health.regressed_at
-        ));
-    }
-    if rollup.top_nodes.is_empty() {
-        fail("campaign produced no top offenders".to_string());
-    }
-    for n in &rollup.top_nodes {
-        if n.cohort != BAD_COHORT {
-            fail(format!("offender node {} is in cohort {}, not {BAD_COHORT}", n.node, n.cohort));
+        let mut tables = CounterSet { samples: 512 * ROUNDS, ..CounterSet::default() };
+        for i in 0..fleet.len() {
+            tables.add(fleet.node(i).counters());
         }
-    }
-    if rollup.dumps.is_empty() {
-        fail("campaign indexed no dumps".to_string());
-    }
-    let frozen = campaign.dumps();
-    for d in &rollup.dumps {
-        if rollup.find_dump(&d.id).is_none() {
-            fail(format!("dump {} not findable by its own id", d.id));
+        let totals = rollup.totals();
+        for (name, (rolled, counted)) in
+            CounterSet::FIELDS.iter().zip(totals.values().into_iter().zip(tables.values()))
+        {
+            assert_eq!(rolled, counted, "{name} rolled up {rolled}, counted {counted}");
         }
-        // Causal retrieval: every indexed dump resolves back to a frozen
-        // postmortem whose reconstructed timeline ends at the fault.
-        match frozen.iter().find(|f| f.node == d.node && f.fault.cycles == d.cycles) {
-            None => fail(format!("dump {} has no frozen postmortem", d.id)),
-            Some(f) => {
-                if !reconstruct(f).ends_at_fault(f) {
-                    fail(format!("dump {}: timeline does not end at the fault", d.id));
-                }
+        assert_eq!(rollup.ingested, tables.samples, "one sample per node-round");
+        assert_eq!(totals.dumps, frozen.len() as u64, "recorder dumps");
+        assert_eq!(totals.alerts, fleet.alerts().len() as u64, "watchdog alerts");
+        for c in &rollup.cohorts {
+            let mut sum = c.folded;
+            for w in &c.windows {
+                sum.add(&w.counters);
             }
+            assert_eq!(sum, c.totals, "cohort {} fold invariant", c.cohort);
         }
     }
-    failures.set(failures.get() + reconcile(&mut campaign, &rollup));
-
-    if failures.get() == 0 {
-        println!(
-            "harbor-tower --check: all invariants hold \
-             ({} cohorts, {} dumps indexed, cohort {BAD_COHORT} unhealthy at score {})",
-            rollup.cohorts.len(),
-            rollup.dumps.len(),
-            bad_health.score,
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("harbor-tower --check: {} failure(s)", failures.get());
-        ExitCode::FAILURE
-    }
-}
-
-/// Exact reconciliation: every rollup counter equals the sum of the
-/// nodes' counter tables (these scenarios restore no checkpoint), every
-/// sample is one node-round, the tables agree with the recorders and
-/// watchdogs they count from, and every cohort's fold invariant holds.
-/// Returns the number of mismatches.
-fn reconcile(fleet: &mut Fleet, rollup: &FleetRollup) -> u32 {
-    let mut failures = 0u32;
-    let mut check = |name: &str, rolled: u64, raw: u64| {
-        if rolled != raw {
-            eprintln!("FAIL: reconciliation: {name} rolled up {rolled}, counted {raw}");
-            failures += 1;
-        }
-    };
-    let mut tables = CounterSet::default();
-    for i in 0..fleet.len() {
-        tables.add(fleet.node(i).counters());
-    }
-    tables.samples = fleet.len() as u64 * fleet.round();
-    let totals = rollup.totals();
-    for (name, (rolled, counted)) in
-        CounterSet::FIELDS.iter().zip(totals.values().into_iter().zip(tables.values()))
-    {
-        check(name, rolled, counted);
-    }
-    check("ingested", rollup.ingested, tables.samples);
-    check("recorder dumps", totals.dumps, fleet.dumps().len() as u64);
-    check("watchdog alerts", totals.alerts, fleet.alerts().len() as u64);
-    // The per-cohort fold invariant, end to end.
-    for c in &rollup.cohorts {
-        let mut sum = c.folded;
-        for w in &c.windows {
-            sum.add(&w.counters);
-        }
-        if sum != c.totals {
-            eprintln!("FAIL: reconciliation: cohort {} fold invariant broke", c.cohort);
-            failures += 1;
-        }
-    }
-    failures
 }

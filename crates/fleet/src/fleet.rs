@@ -646,7 +646,7 @@ impl Fleet {
         // Pulse timing: a whole-round stopwatch anchored *before* the lap
         // chain starts and read *after* its last boundary, so
         // `Σ phase_ns <= wall_ns` holds by clock monotonicity — the gap is
-        // the unattributed slack `harbor-pulse --check` gates on.
+        // the unattributed slack `PulseReport::reconcile` bounds.
         let wall = self.pulse.as_ref().map(|_| Instant::now());
         let mut chain = wall.map(|_| Instant::now());
         let mut phase_ns = [0u64; Phase::COUNT];

@@ -278,7 +278,7 @@ pub struct StoreCertificate {
     /// Stores proven safe (always ≤ `total_stores`).
     pub certified_stores: u32,
     /// FNV-1a digest over origin, length and the bitmap — equal digests ⇔
-    /// equal certificates, used by the `harbor-prove --check` CI gate.
+    /// equal certificates, which `harbor_prove`'s determinism test compares.
     pub digest: u64,
 }
 

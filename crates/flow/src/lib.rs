@@ -5,7 +5,7 @@
 //! checks instruction *syntax*, not *flow*. This crate closes that trust
 //! gap with a static-analysis subsystem over decoded machine code:
 //!
-//! * [`cfg`] — control-flow-graph reconstruction from a module image:
+//! * [`cfg`](mod@cfg) — control-flow-graph reconstruction from a module image:
 //!   basic blocks, fall-through/branch/skip successor edges, the
 //!   intra-module call graph, and cross-domain call sites resolved through
 //!   the `harbor_xdom_call` inline operands (with Graphviz export);
@@ -27,7 +27,7 @@
 //!   per-PC [`StoreCertificate`] of stores statically proven to land
 //!   inside the module's own segment — the input to run-time check
 //!   elision in `umpu`, `sfi` and `turbo` (see `DESIGN.md` §7);
-//! * [`lint`] — non-fatal findings with stable `HF####` diagnostic codes
+//! * [`lint`](mod@lint) — non-fatal findings with stable `HF####` diagnostic codes
 //!   (unreachable blocks, unbalanced push/pop, skip-into-operand,
 //!   call-depth overflow), printed by the `lint-modules` binary alongside
 //!   dot exports of the CFG and the cross-domain call graph.

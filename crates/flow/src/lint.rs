@@ -4,7 +4,7 @@
 //! run-time still contains every one of them (an unbalanced loop
 //! eventually trips the safe-stack overflow check, a skip into an operand
 //! is already a verify error), but a clean module build should produce
-//! none, so `lint-modules -D` treats any finding as an error in CI.
+//! none, and `lint-modules`' tests hold its corpus to zero findings.
 //!
 //! Every finding carries a **stable diagnostic code** (`HF0001`-style,
 //! [`Lint::code`]) that tooling may match on; the codes are append-only —

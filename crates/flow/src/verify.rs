@@ -97,7 +97,7 @@ pub struct ModuleAnalysis {
     pub cfg: Cfg,
     /// The certified worst-case stack bounds.
     pub certificate: StackCertificate,
-    /// Non-fatal findings (see [`crate::lint`]).
+    /// Non-fatal findings (see [`crate::lint`](mod@crate::lint)).
     pub lints: Vec<Lint>,
 }
 

@@ -138,11 +138,20 @@ impl HelmRun {
         }
     }
 
-    /// Steps until the campaign reaches a terminal state (or `max_rounds`
-    /// elapse). Returns the terminal state if reached.
-    pub fn run_to_verdict(&mut self, max_rounds: u64) -> Option<RolloutState> {
+    /// Steps closed-loop rounds until the campaign reaches a terminal
+    /// state or `max_rounds` elapse. Each round `workload` posts the
+    /// round's host-side messages before the step, and `after_round` sees
+    /// the run after it. Returns the terminal state, if one was reached.
+    pub fn run_to_verdict(
+        &mut self,
+        max_rounds: u64,
+        mut workload: impl FnMut(&mut Fleet),
+        mut after_round: impl FnMut(&HelmRun),
+    ) -> Option<RolloutState> {
         for _ in 0..max_rounds {
+            workload(&mut self.fleet);
             self.step_round();
+            after_round(self);
             if let Some(h) = &self.helm {
                 if h.state().terminal() {
                     return Some(h.state());

@@ -26,14 +26,15 @@
 //! Every decision is a pure function of `(plan, rollup)`. The fleet's
 //! crown-jewel identity — serial ≡ parallel rollup bytes — therefore
 //! lifts to the control plane: decision logs are byte-identical across
-//! stepping schedules and engines, and `harbor-helm --check` gates on
-//! exactly that.
+//! stepping schedules and engines, which `tests/fleet_helm.rs` asserts
+//! over [`two_campaigns`], the canonical scenario.
 //!
 //! [`FleetRollup`]: harbor_tower::FleetRollup
 
 #![warn(missing_docs)]
 
 pub mod admit;
+pub mod campaigns;
 pub mod controller;
 pub mod drive;
 pub mod export;
@@ -41,6 +42,7 @@ pub mod plan;
 pub mod query;
 
 pub use admit::{verify_image, Admission, AdmitError};
+pub use campaigns::{two_campaigns, TwoCampaigns};
 pub use controller::{
     DecisionRecord, Helm, HelmCommand, RegressionEvidence, RolloutState, RolloutVerdict,
 };

@@ -2,9 +2,10 @@
 //!
 //! The build environment has no network access, so the real `proptest`
 //! cannot be fetched. This workspace member implements the subset the
-//! repository's tests use: the [`Strategy`] abstraction (ranges, tuples,
-//! [`Just`], [`any`], `prop_map`, `prop_oneof!`, `collection::vec`) and the
-//! [`proptest!`] / `prop_assert*!` / `prop_assume!` macros.
+//! repository's tests use: the [`Strategy`](strategy::Strategy)
+//! abstraction (ranges, tuples, [`Just`](strategy::Just),
+//! [`any`](strategy::any), `prop_map`, `prop_oneof!`, `collection::vec`)
+//! and the [`proptest!`] / `prop_assert*!` / `prop_assume!` macros.
 //!
 //! Differences from the real crate, deliberately accepted:
 //!
@@ -24,7 +25,8 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// The accepted size arguments of [`vec`]: an exact count or a range.
+    /// The accepted size arguments of [`vec`](fn@vec): an exact count or a
+    /// range.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;

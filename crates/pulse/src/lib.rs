@@ -32,7 +32,7 @@
 //! dissemination progress, kernel queue depth, cycle counters) and the
 //! host clock, and never touches a machine, an RNG or the telemetry JSON —
 //! a pulse-enabled run is byte-identical to a pulse-disabled run, which
-//! the `harbor-pulse --check` CI gate asserts.
+//! `tests/fleet_pulse.rs` asserts.
 
 #![warn(missing_docs)]
 

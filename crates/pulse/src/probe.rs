@@ -12,7 +12,7 @@
 //! recorded and gated by [`crate::PulseReport::reconcile`].
 //!
 //! Every per-round observation folds into a
-//! [`QuantileSketch`](harbor_tower::QuantileSketch) — the same
+//! [`QuantileSketch`] — the same
 //! bounded-memory, merge-exact sketch `harbor-tower` aggregates fleet
 //! telemetry with — so a week-long soak campaign costs the same memory as
 //! a 40-round bench. A small ring of recent rounds is kept verbatim for

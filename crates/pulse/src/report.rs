@@ -303,9 +303,9 @@ impl PulseReport {
         out
     }
 
-    /// The timer-reconciliation and ledger-consistency invariants the
-    /// `harbor-pulse --check` CI gate asserts. Returns every violation
-    /// found (empty = pass).
+    /// The timer-reconciliation and ledger-consistency invariants
+    /// `tests/fleet_pulse.rs` asserts. Returns every violation found
+    /// (empty = pass).
     ///
     /// Hard invariants (guaranteed by construction; any violation is a
     /// recorder bug):

@@ -176,7 +176,7 @@ impl TraceSink for RingSink {
 const STREAM_CHUNK: usize = 1024;
 
 /// Unbounded streaming sink: retains every event in order. Storage is
-/// chunked ([`STREAM_CHUNK`] events per allocation) so recording never
+/// chunked (`STREAM_CHUNK` events per allocation) so recording never
 /// relocates previously retained events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamSink {

@@ -6,15 +6,12 @@
 //! ```sh
 //! cargo run -p mini-sos --bin harbor-trace          # report + trace files
 //! cargo run -p mini-sos --bin harbor-trace -- --json    # machine-readable
-//! cargo run -p mini-sos --bin harbor-trace -- --check   # CI invariants
 //! ```
 //!
-//! `--check` validates, per build: (1) attaching a sink leaves the
-//! simulation byte-identical (cycles, instructions, debug output); (2)
-//! cross-domain call/return edges balance and cycle stamps are monotone;
-//! (3) profile totals reconcile exactly with the CPU cycle counter; (4)
-//! faults land in the trace and the fault history, and recovery allows a
-//! clean refault. Exits non-zero on any violation.
+//! `tests/scope_integration.rs` holds the invariants of the same
+//! workload: a sink never perturbs the machine, the profile reconciles
+//! with the cycle counter, and the trace keeps call/return discipline
+//! through faults and recoveries.
 
 // The shared CLI helper lives with the other harbor-* binaries in the
 // fleet crate; mini-sos sits below harbor-fleet in the dependency graph,
@@ -24,7 +21,7 @@ mod cli;
 
 use harbor::DomainId;
 use harbor_scope::{export, DomainProfiler, Event, MetricsRegistry, ScopeSink};
-use mini_sos::modules::{blink, consumer, producer, surge};
+use mini_sos::modules::{blink, consumer, producer};
 use mini_sos::{Protection, SosSystem, MSG_TIMER};
 use std::process::ExitCode;
 
@@ -56,24 +53,15 @@ fn build_workload(p: Protection) -> SosSystem {
 }
 
 /// One scheduling round: timer messages to the blinker and the producer
-/// (who posts onward to the consumer), then a scheduler slice.
-fn drive_round(sys: &mut SosSystem, profiler: Option<&mut DomainProfiler>) {
+/// (who posts onward to the consumer), then a profiled scheduler slice.
+fn drive_round(sys: &mut SosSystem, profiler: &mut DomainProfiler) {
     sys.post(DomainId::num(0), MSG_TIMER);
     sys.post(DomainId::num(1), MSG_TIMER);
-    let step = match profiler {
-        Some(prof) => sys.run_slice_profiled(prof, SLICE_BUDGET),
-        None => sys.run_slice(SLICE_BUDGET),
-    };
-    step.expect("steady-state round faults");
+    sys.run_slice_profiled(profiler, SLICE_BUDGET).expect("steady-state round faults");
 }
 
 fn main() -> ExitCode {
-    let cli = cli::Cli::parse();
-    if cli.flag("--check") {
-        run_checks()
-    } else {
-        run_report(cli.flag("--json"))
-    }
+    run_report(cli::Cli::parse().flag("--json"))
 }
 
 /// One traced steady-state run per build: the profiled system, its event
@@ -83,7 +71,7 @@ fn trace_build(p: Protection) -> (DomainProfiler, Vec<Event>, MetricsRegistry) {
     sys.attach_scope(ScopeSink::stream());
     let mut profiler = DomainProfiler::new(sys.scope_region_map(), sys.cycles());
     for _ in 0..ROUNDS {
-        drive_round(&mut sys, Some(&mut profiler));
+        drive_round(&mut sys, &mut profiler);
     }
     let events = sys.take_scope().expect("sink attached").events();
     let mut metrics = MetricsRegistry::new();
@@ -127,141 +115,4 @@ fn run_report(json: bool) -> ExitCode {
         println!("metrics: {}\n", metrics.to_json());
     }
     ExitCode::SUCCESS
-}
-
-/// Trace-stream invariants: monotone cycle stamps; call/return edges obey
-/// stack discipline (a recovery legitimately unwinds everything).
-fn check_stream(events: &[Event]) -> Result<(), String> {
-    let mut last = 0u64;
-    let mut depth = 0i64;
-    for ev in events {
-        let c = ev.cycles();
-        if c < last {
-            return Err(format!("cycle stamps not monotone: {c} after {last}"));
-        }
-        last = c;
-        match ev {
-            Event::CrossDomainCall { .. } | Event::InterruptEntry { .. } => depth += 1,
-            Event::CrossDomainRet { .. } => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err(format!("return edge without a call at cycle {c}"));
-                }
-            }
-            Event::Recovery { .. } => depth = 0,
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-fn run_checks() -> ExitCode {
-    let mut failures = 0u32;
-    let mut fail = |msg: String| {
-        eprintln!("FAIL: {msg}");
-        failures += 1;
-    };
-
-    for p in BUILDS {
-        let name = prot_name(p);
-
-        // (1) Zero-sink identity: the same workload with and without a
-        // sink must agree on every observable of the simulated machine.
-        let mut bare = build_workload(p);
-        let mut traced = build_workload(p);
-        traced.attach_scope(ScopeSink::stream());
-        let mut profiler = DomainProfiler::new(traced.scope_region_map(), traced.cycles());
-        let profile_start = traced.cycles();
-        for _ in 0..ROUNDS {
-            drive_round(&mut bare, None);
-            drive_round(&mut traced, Some(&mut profiler));
-        }
-        if bare.cycles() != traced.cycles() {
-            fail(format!("{name}: sink changed cycles ({} vs {})", bare.cycles(), traced.cycles()));
-        }
-        if bare.instructions() != traced.instructions() {
-            fail(format!("{name}: sink changed instruction count"));
-        }
-        if bare.debug_out() != traced.debug_out() {
-            fail(format!("{name}: sink changed debug output"));
-        }
-
-        // (2) Profile totals reconcile exactly with the cycle counter.
-        let report = profiler.report();
-        let elapsed = traced.cycles() - profile_start;
-        if report.total != elapsed {
-            fail(format!("{name}: profile total {} != cycles elapsed {elapsed}", report.total));
-        }
-        if report.rows.iter().map(|r| r.cycles).sum::<u64>() != report.total {
-            fail(format!("{name}: profile rows do not sum to total"));
-        }
-
-        // (3) Stream invariants.
-        let events = traced.take_scope().expect("sink attached").events();
-        if events.is_empty() {
-            fail(format!("{name}: traced run recorded no events"));
-        }
-        if let Err(e) = check_stream(&events) {
-            fail(format!("{name}: {e}"));
-        }
-
-        // The protected builds must show the pipeline's cross-domain
-        // activity: the trace is useless if the edges are missing.
-        if p == Protection::Umpu {
-            let calls =
-                events.iter().filter(|e| matches!(e, Event::CrossDomainCall { .. })).count();
-            let rets = events.iter().filter(|e| matches!(e, Event::CrossDomainRet { .. })).count();
-            if calls == 0 || calls != rets {
-                fail(format!("{name}: unbalanced cross-domain edges ({calls} calls, {rets} rets)"));
-            }
-        }
-    }
-
-    // (4) Fault lifecycle: Surge without Tree Routing dereferences the
-    // 0xff error return — the protected builds must fault, recover and
-    // refault, and the whole story must appear in trace + history.
-    for p in [Protection::Sfi, Protection::Umpu] {
-        let name = prot_name(p);
-        let mods = [surge(3, 2)];
-        let mut sys = SosSystem::build(p, &mods, |a, api| {
-            api.run_scheduler(a);
-            a.brk();
-        })
-        .expect("fault workload builds");
-        sys.boot().expect("fault workload boots");
-        sys.attach_scope(ScopeSink::stream());
-        for round in 0..2 {
-            sys.post(DomainId::num(3), MSG_TIMER);
-            match sys.run_slice(SLICE_BUDGET) {
-                Ok(_) => fail(format!("{name}: fault round {round} did not fault")),
-                Err(_) => sys.recover_from_fault(),
-            }
-        }
-        if sys.fault_history().len() != 2 {
-            fail(format!(
-                "{name}: fault history has {} records, expected 2",
-                sys.fault_history().len()
-            ));
-        }
-        let events = sys.take_scope().expect("sink attached").events();
-        let faults = events.iter().filter(|e| matches!(e, Event::Fault { .. })).count();
-        let recoveries = events.iter().filter(|e| matches!(e, Event::Recovery { .. })).count();
-        if faults < 2 {
-            fail(format!("{name}: trace has {faults} fault events, expected >= 2"));
-        }
-        if recoveries != 2 {
-            fail(format!("{name}: trace has {recoveries} recovery events, expected 2"));
-        }
-        if let Err(e) = check_stream(&events) {
-            fail(format!("{name}: fault trace: {e}"));
-        }
-    }
-
-    if failures == 0 {
-        println!("harbor-trace --check: all invariants hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("harbor-trace --check: {failures} failure(s)");
-        ExitCode::FAILURE
-    }
 }

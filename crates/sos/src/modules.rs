@@ -181,9 +181,9 @@ pub fn surge_fixed(dom: u8, tree_dom: u8) -> ModuleSource {
 /// pass (the unroll is capped by the backward-branch range), 16 passes per
 /// message. Every store targets a constant address inside the module's own
 /// segment, so the `harbor-flow` dataflow pass certifies all of them — the
-/// store-dominated workload `harbor_prove --check` holds to a 100% elision
-/// floor, and on which `tests/observer_identity.rs` runs elision under
-/// turbo.
+/// store-dominated workload whose 17 of 17 certified stores
+/// `harbor_prove`'s tests pin, and on which `tests/observer_identity.rs`
+/// runs elision under turbo.
 pub fn stress_store(dom: u8) -> ModuleSource {
     ModuleSource {
         name: "stress_store",

@@ -218,10 +218,11 @@ impl SosSystem {
     }
 
     /// Enables or disables store-check elision (`harbor-prove`). Under the
-    /// UMPU build, admission derives a `harbor-flow` [`StoreCertificate`]
-    /// for every loaded module against its own state segment and publishes
-    /// the union as the env's elision map: certified stores skip the MMC
-    /// walk (and re-run it under `debug_assert!` parity). Execution is
+    /// UMPU build, admission derives a `harbor-flow` store certificate
+    /// ([`harbor_flow::StoreCertificate`]) for every loaded module against
+    /// its own state segment and publishes the union as the env's elision
+    /// map: certified stores skip the MMC walk (and re-run it under
+    /// `debug_assert!` parity). Execution is
     /// cycle-, event- and state-identical either way. Off in a freshly
     /// built system; [`ENGINES`] lists every turbo/prove combination.
     /// A no-op outside UMPU (the SFI build elides through [`LoadPolicy`]'s

@@ -25,6 +25,28 @@ fn pipeline(p: Protection, (turbo, prove): (bool, bool)) -> SosSystem {
     sys
 }
 
+/// Trace-stream invariants: cycle stamps never decrease, and call/return
+/// edges nest like a stack — every `CrossDomainRet` closes an open
+/// `CrossDomainCall` or `InterruptEntry`, and a `Recovery` unwinds them
+/// all.
+fn assert_stack_discipline(events: &[Event], on: &str) {
+    let (mut last, mut depth) = (0u64, 0u64);
+    for ev in events {
+        let c = ev.cycles();
+        assert!(c >= last, "{on}: cycle stamp {c} after {last}");
+        last = c;
+        match ev {
+            Event::CrossDomainCall { .. } | Event::InterruptEntry { .. } => depth += 1,
+            Event::CrossDomainRet { .. } => {
+                assert!(depth > 0, "{on}: return edge without a call at cycle {c}");
+                depth -= 1;
+            }
+            Event::Recovery { .. } => depth = 0,
+            _ => {}
+        }
+    }
+}
+
 fn drive(sys: &mut SosSystem, rounds: usize) {
     for _ in 0..rounds {
         sys.post(DomainId::num(0), MSG_TIMER);
@@ -35,7 +57,8 @@ fn drive(sys: &mut SosSystem, rounds: usize) {
 
 /// The tentpole's zero-cost guarantee: for every protection build, the same
 /// workload with a sink attached retires the same instructions in the same
-/// number of cycles with the same output as a bare run.
+/// number of cycles with the same output as a bare run, and its trace
+/// keeps stack discipline.
 #[test]
 fn attaching_a_sink_is_cycle_identical() {
     for engine @ (turbo, prove) in ENGINES {
@@ -53,6 +76,7 @@ fn attaching_a_sink_is_cycle_identical() {
             assert_eq!(bare.sram(state), traced.sram(state), "{on}: blink state diverged");
             // ...and the traced run actually observed something.
             assert!(traced.scope().unwrap().recorded() > 0, "{on}: no events recorded");
+            assert_stack_discipline(&traced.take_scope().unwrap().events(), &on);
         }
     }
 }
@@ -78,7 +102,8 @@ fn ring_sink_under_pressure_is_also_identical() {
 
 /// The war-story fault (Surge using the unchecked 0xff error return as a
 /// buffer offset) must appear in both the fault history and the trace, and
-/// recovery must leave the system able to fault cleanly again.
+/// recovery must leave the system able to fault cleanly again, with the
+/// trace's stack discipline reset by each recovery.
 #[test]
 fn fault_recover_refault_history_and_trace() {
     for (turbo, prove) in ENGINES {
@@ -121,6 +146,7 @@ fn fault_recover_refault_history_and_trace() {
             let recoveries = events.iter().filter(|e| matches!(e, Event::Recovery { .. })).count();
             assert!(faults >= 2, "{p:?} {engine}: trace shows both faults");
             assert_eq!(recoveries, 2, "{p:?} {engine}: trace shows both recoveries");
+            assert_stack_discipline(&events, &format!("{p:?} {engine}"));
         }
     }
 }

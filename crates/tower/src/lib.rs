@@ -32,7 +32,7 @@
 //!   nodes' own counter tables, entry for entry, plus whatever a
 //!   checkpoint restore rewound. The fleet feeds nodes in id order, so
 //!   the rollup bytes are also identical for any stepping schedule.
-//!   `harbor-tower --check` enforces both in CI.
+//!   `tests/fleet_tower.rs` enforces both.
 
 pub mod counters;
 pub mod export;

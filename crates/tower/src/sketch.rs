@@ -3,8 +3,8 @@
 //! Tower ingests one cycle-delta observation per node per round and must
 //! answer percentile queries over millions of observations without
 //! retaining them. The sketch is a fixed array of buckets: values below
-//! [`LINEAR_MAX`] land in exact unit buckets, larger values in
-//! log-linear buckets with [`SUBBUCKETS`] subdivisions per octave
+//! `LINEAR_MAX` land in exact unit buckets, larger values in
+//! log-linear buckets with `SUBBUCKETS` subdivisions per octave
 //! (relative error bounded by `1/SUBBUCKETS` ≈ 6%). Everything is
 //! integer-only and the bucket layout is a pure function of the value,
 //! so the sketch depends only on the multiset of observations, never on

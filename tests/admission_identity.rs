@@ -13,6 +13,9 @@
 //! `HARBOR_SEED=n cargo test --test admission_identity` replays another
 //! mutant draw.
 
+mod common;
+
+use common::seed;
 use harbor_fleet::ModuleImage;
 use harbor_flow::{certify_module_stores, CfgVerifier};
 use harbor_helm::{verify_image, Admission, AdmitError};
@@ -24,13 +27,8 @@ use rand::{Rng, SeedableRng, StdRng};
 /// Seeded mutants on top of the 21 base images.
 const MUTANTS: usize = 2_100;
 
-/// Mutant seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0xad_31_75,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0xad_31_75;
 
 /// The policies SFI images are admitted under: the benchmark's, plus an
 /// eliding one (raw stores go through the store gate) and one without the
@@ -180,7 +178,7 @@ fn one_pass_admission_matches_the_multi_pass_reference() {
     // Mutants as `admit_verify` draws them: one wire bit flipped (the
     // decoder refuses almost all of these before admission), or one to
     // four words substituted after decode (the verifiers' refusal paths).
-    let mut rng = StdRng::seed_from_u64(seed());
+    let mut rng = StdRng::seed_from_u64(seed(SEED));
     let (mut flipped, mut substituted) = (0, 0);
     for i in 0..MUTANTS {
         let (protection, bytes, image) = &bases[i % bases.len()];

@@ -7,8 +7,11 @@
 //! `HARBOR_SEED=n cargo test --test fault_injection` to replay a run
 //! (the default seed is fixed, so plain `cargo test` is deterministic too).
 
+mod common;
+
 use avr_core::isa::Reg;
 use avr_core::Fault;
+use common::seed;
 use harbor::{fault_code, DomainId};
 use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{ModuleSource, Protection, SosSystem, ENGINES};
@@ -16,14 +19,8 @@ use rand::{Rng, SeedableRng, StdRng};
 
 const DOM: u8 = 2;
 
-/// Explicit sweep seed: `HARBOR_SEED` if set, a fixed default otherwise —
-/// never ambient entropy.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5eed,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5eed;
 
 /// Builds a module whose timer handler stores 0xEE at `target`.
 fn wild_writer(target: u16) -> ModuleSource {
@@ -141,7 +138,7 @@ fn umpu_and_sfi_agree_on_seeded_random_targets() {
     // The dense sweep above uses a fixed stride; this one draws targets
     // from the seeded generator so CI can widen coverage over time by
     // varying HARBOR_SEED while any failure stays reproducible.
-    let seed = seed();
+    let seed = seed(SEED);
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..24 {
         let target = rng.gen_range(0x0062u16..0x0fff);

@@ -5,8 +5,11 @@
 //! happens-before edge of the fleet's causal DAG. Every test runs on each
 //! engine of [`ENGINES`].
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
-use harbor_blackbox::{build_edges, check_monotone, Postmortem};
+use harbor_blackbox::{build_edges, check_monotone, reconstruct, Postmortem};
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{modules, Protection, ENGINES};
@@ -15,12 +18,8 @@ use proptest::prelude::*;
 const NODES: usize = 8;
 const ROUNDS: u64 = 24;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5c09e,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5c09e;
 
 /// A fleet under the full blackbox, with Blink everywhere, the faulting
 /// Surge on every node, and an OTA dissemination mid-run so the causal
@@ -61,21 +60,30 @@ fn run(seed: u64, loss: f64, threads: usize, engine: (bool, bool), fault_rounds:
     fleet
 }
 
+/// Every fault freezes exactly one dump, whose reconstructed timeline
+/// ends at the faulting store its `FaultRecord` names and whose JSON
+/// round-trips to the same dump and the same bytes.
 #[test]
 fn every_fault_freezes_exactly_one_dump() {
     for engine @ (turbo, prove) in ENGINES {
         let on = format!("turbo={turbo} prove={prove}");
-        let mut fleet = run(seed(), 0.1, 1, engine, &[8, 16]);
+        let mut fleet = run(seed(SEED), 0.1, 1, engine, &[8, 16]);
         let telemetry = fleet.telemetry();
         let faults = telemetry.total(harbor_fleet::NodeTelemetry::faults);
         let dumps = fleet.dumps();
         assert!(faults > 0, "{on}: the scenario faults");
         assert_eq!(faults, dumps.len() as u64, "{on}: one dump per fault");
         for dump in &dumps {
+            let on = format!("{on} node {} round {}", dump.node, dump.round);
             assert_eq!(dump.protection, "umpu", "{on}");
             assert!(!dump.events.is_empty(), "{on}: the ring captured the lead-up");
-            let back = Postmortem::from_json(&dump.to_json()).expect("round-trips");
+            let timeline = reconstruct(dump);
+            assert!(!timeline.steps.is_empty(), "{on}: empty timeline");
+            assert!(timeline.ends_at_fault(dump), "{on}: timeline ends at the recorded fault");
+            let json = dump.to_json();
+            let back = Postmortem::from_json(&json).expect("round-trips");
             assert_eq!(&back, dump, "{on}: dump JSON is lossless");
+            assert_eq!(back.to_json(), json, "{on}: re-rendered JSON differs");
         }
     }
 }
@@ -93,7 +101,7 @@ fn watchdog_fires_exactly_twice_across_two_bursts() {
         let cfg = FleetConfig {
             nodes: 4,
             protection: Protection::Umpu,
-            seed: seed(),
+            seed: seed(SEED),
             net: NetConfig { loss: 0.0, ..NetConfig::default() },
             threads: 1,
             blackbox: Some(BlackboxConfig::default()),
@@ -130,7 +138,7 @@ fn watchdog_fires_exactly_twice_across_two_bursts() {
 
 #[test]
 fn serial_and_parallel_dumps_are_byte_identical() {
-    let s = seed();
+    let s = seed(SEED);
     for engine @ (turbo, prove) in ENGINES {
         let dumps = |threads: usize| -> Vec<String> {
             run(s, 0.1, threads, engine, &[8, 16]).dumps().iter().map(Postmortem::to_json).collect()
@@ -147,7 +155,7 @@ fn serial_and_parallel_dumps_are_byte_identical() {
 
 #[test]
 fn causal_trace_is_deterministic_and_has_message_edges() {
-    let s = seed();
+    let s = seed(SEED);
     for engine @ (turbo, prove) in ENGINES {
         let on = format!("turbo={turbo} prove={prove}");
         let serial = run(s, 0.1, 1, engine, &[8]).causal_trace();

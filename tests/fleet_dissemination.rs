@@ -5,6 +5,9 @@
 //! every engine of [`ENGINES`]; the directly loaded system runs the
 //! reference interpreter.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
@@ -13,13 +16,8 @@ use mini_sos::{modules, Protection, SosSystem, ENGINES};
 const NODES: usize = 5;
 const TREE_DOM: u8 = 3;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5eed,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5eed;
 
 /// A directly-loaded reference system with the same module set and the same
 /// amount of scheduling as a converged fleet node.
@@ -44,7 +42,7 @@ fn disseminated_module_is_bit_identical_to_direct_load() {
             let cfg = FleetConfig {
                 nodes: NODES,
                 protection,
-                seed: seed(),
+                seed: seed(SEED),
                 net: NetConfig { loss: 0.25, ..NetConfig::default() },
                 threads: 4, // exercise the real parallel step path
                 turbo,
@@ -100,7 +98,7 @@ fn load_policy_quarantines_over_budget_module_on_every_node() {
         let cfg = FleetConfig {
             nodes: NODES,
             protection: Protection::Sfi,
-            seed: seed(),
+            seed: seed(SEED),
             threads: 4,
             load_policy: Some(mini_sos::LoadPolicy::with_allotment(6)),
             turbo,
@@ -160,7 +158,7 @@ fn fleet_runs_are_reproducible_from_the_seed_across_schedules() {
             let cfg = FleetConfig {
                 nodes: 12,
                 protection: Protection::Umpu,
-                seed: seed(),
+                seed: seed(SEED),
                 net: NetConfig { loss: 0.3, latency_min: 1, latency_max: 3 },
                 threads,
                 turbo,

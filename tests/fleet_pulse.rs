@@ -5,6 +5,9 @@
 //! host-side census of pending work taken independently of the recorder.
 //! Every test runs on each engine of [`ENGINES`].
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
@@ -13,12 +16,8 @@ use mini_sos::{modules, Protection, ENGINES};
 const NODES: usize = 24;
 const ROUNDS: u64 = 20;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x9a15e,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x9a15e;
 
 /// Blink everywhere with a mid-run Tree Routing dissemination: radio
 /// traffic, OTA reassembly and kernel timers all land in the ledger.
@@ -26,7 +25,7 @@ fn run(pulse: bool, threads: usize, (turbo, prove): (bool, bool)) -> Fleet {
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         turbo,
@@ -81,38 +80,46 @@ fn report_reconciles_and_accounts_every_node_step() {
     }
 }
 
+/// The ledger is a pure function of node state: a census of pending work
+/// taken on the host before every round, at one and four workers, must
+/// match it exactly. The radio is silent, so all the work is queued
+/// timer messages. The event-driven core steps exactly the busy nodes:
+/// the workers' node counts sum to the ledger's busy count every round.
 #[test]
 fn ledger_matches_independent_census() {
-    // Count pending work by hand before every round, serial so the
-    // census and the recorder see the same pre-step state; the ledger
-    // must agree exactly — it is a pure function of node state.
     for (turbo, prove) in ENGINES {
-        let cfg = FleetConfig {
-            nodes: NODES,
-            protection: Protection::Umpu,
-            seed: seed(),
-            net: NetConfig { loss: 0.0, ..NetConfig::default() },
-            threads: 1,
-            turbo,
-            prove,
-            pulse: true,
-            ..FleetConfig::default()
-        };
-        let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
-        let mut census = Vec::new();
-        for round in 0..8u64 {
-            if round % 3 == 0 {
-                fleet.post_all(DomainId::num(0), MSG_TIMER);
+        for threads in [1, 4] {
+            let cfg = FleetConfig {
+                nodes: NODES,
+                protection: Protection::Umpu,
+                seed: seed(SEED),
+                net: NetConfig { loss: 0.0, ..NetConfig::default() },
+                threads,
+                turbo,
+                prove,
+                pulse: true,
+                ..FleetConfig::default()
+            };
+            let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("fleet builds");
+            let mut census = Vec::new();
+            for round in 0..8u64 {
+                if round % 3 == 0 {
+                    fleet.post_all(DomainId::num(0), MSG_TIMER);
+                }
+                let busy =
+                    (0..NODES).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
+                census.push(busy);
+                fleet.step_round();
             }
-            let busy = (0..NODES).filter(|&i| fleet.node(i).pending_work().any()).count() as u64;
-            census.push(busy);
-            fleet.step_round();
-        }
-        let report = fleet.pulse_report().expect("pulse enabled");
-        for (r, &expect) in report.timeline.iter().zip(&census) {
-            let on = format!("turbo={turbo} prove={prove} round {}", r.round);
-            assert_eq!(r.ledger.busy, expect, "{on}: busy");
-            assert_eq!(r.ledger.stepped, NODES as u64, "{on}: stepped");
+            let report = fleet.pulse_report().expect("pulse enabled");
+            for (r, &expect) in report.timeline.iter().zip(&census) {
+                let on = format!("turbo={turbo} prove={prove} threads={threads} round {}", r.round);
+                let l = &r.ledger;
+                assert_eq!((l.busy, l.queue, l.inbox, l.ota), (expect, expect, 0, 0), "{on}");
+                assert_eq!(l.stepped, NODES as u64, "{on}: stepped");
+                let stepped: u64 = r.workers.iter().map(|w| w.nodes).sum();
+                assert_eq!(stepped, l.busy, "{on}: workers stepped idle nodes");
+            }
         }
     }
 }

@@ -4,6 +4,9 @@
 //! parallel run of the same seed must still agree byte-for-byte, on every
 //! engine of [`ENGINES`].
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{Fleet, FleetConfig, NetConfig};
 use harbor_scope::{EventKind, SinkSpec};
@@ -13,12 +16,8 @@ use mini_sos::{modules, Protection, ENGINES};
 const NODES: usize = 8;
 const ROUNDS: u64 = 24;
 
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5c09e,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5c09e;
 
 fn run(
     scope: Option<SinkSpec>,
@@ -28,7 +27,7 @@ fn run(
     let cfg = FleetConfig {
         nodes: NODES,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads,
         scope,

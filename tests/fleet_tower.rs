@@ -4,6 +4,9 @@
 //! counter must reconcile *exactly* against the nodes' own counter
 //! tables, including under the turbo engine and certified store elision.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, TowerConfig};
 use harbor_tower::CounterSet;
@@ -15,13 +18,8 @@ const NODES: usize = 12;
 const ROUNDS: u64 = 24;
 const COHORTS: u32 = 4;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x70_3e_12,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x70_3e_12;
 
 /// A cohorted fleet with the blackbox and tower attached: Blink ticks
 /// everywhere, cohort 2 gets the faulting Surge timer in two rounds, and
@@ -69,22 +67,22 @@ fn rollup_json(seed: u64, loss: f64, threads: usize) -> String {
 /// many worker threads stepped the fleet.
 #[test]
 fn rollup_is_schedule_independent() {
-    let reference = rollup_json(seed(), 0.1, 1);
+    let reference = rollup_json(seed(SEED), 0.1, 1);
     assert!(reference.contains("\"schema\":\"harbor-tower-rollup-v1\""));
-    assert_eq!(reference, rollup_json(seed(), 0.1, 4), "parallel stepping diverged");
-    assert_eq!(reference, rollup_json(seed(), 0.1, 8), "worker count leaked");
+    assert_eq!(reference, rollup_json(seed(SEED), 0.1, 4), "parallel stepping diverged");
+    assert_eq!(reference, rollup_json(seed(SEED), 0.1, 8), "worker count leaked");
 }
 
 /// Every rollup counter reconciles exactly against the sum of the nodes'
-/// counter tables — no sampling, no loss — and the per-cohort fold
-/// invariant (`totals == folded + Σ windows`) holds end to end. Every
-/// engine must reconcile the same way; the tables must agree with the
-/// recorders and watchdogs they count from, and prove's elision count
-/// with the machines' own.
+/// counter tables — no sampling, no loss, one sample per node-round —
+/// and the per-cohort fold invariant (`totals == folded + Σ windows`)
+/// holds end to end. Every engine must reconcile the same way; the tables
+/// must agree with the recorders and watchdogs they count from, and
+/// prove's elision count with the machines' own.
 #[test]
 fn rollup_reconciles_exactly_under_turbo_and_prove() {
     for (turbo, prove) in ENGINES {
-        let mut fleet = run(seed(), 0.1, 4, turbo, prove);
+        let mut fleet = run(seed(SEED), 0.1, 4, turbo, prove);
         let rollup = fleet.tower_rollup().expect("tower attached");
         let totals = rollup.totals();
         let mut tables = CounterSet { samples: NODES as u64 * ROUNDS, ..CounterSet::default() };
@@ -97,6 +95,7 @@ fn rollup_reconciles_exactly_under_turbo_and_prove() {
         {
             assert_eq!(rolled, counted, "{tag}: {name}");
         }
+        assert_eq!(rollup.ingested, tables.samples, "{tag}: one sample per node-round");
         assert_eq!(totals.dumps, fleet.dumps().len() as u64, "{tag}: dumps");
         assert_eq!(totals.alerts, fleet.alerts().len() as u64, "{tag}: alerts");
         let env: u64 = (0..fleet.len()).map(|i| fleet.node(i).sys.stores_elided()).sum();
@@ -121,10 +120,10 @@ fn rollup_reconciles_exactly_under_turbo_and_prove() {
 /// the prove rollup may differ from the reference only in `stores_elided`.
 #[test]
 fn prove_rollup_differs_only_in_elision_counter() {
-    let reference = run(seed(), 0.1, 1, false, false).tower_rollup().unwrap();
-    let turbo = run(seed(), 0.1, 4, true, false).tower_rollup().unwrap();
+    let reference = run(seed(SEED), 0.1, 1, false, false).tower_rollup().unwrap();
+    let turbo = run(seed(SEED), 0.1, 4, true, false).tower_rollup().unwrap();
     assert_eq!(reference.to_json(), turbo.to_json(), "turbo rollup diverged");
-    let prove = run(seed(), 0.1, 4, false, true).tower_rollup().unwrap();
+    let prove = run(seed(SEED), 0.1, 4, false, true).tower_rollup().unwrap();
     let (r, p) = (reference.totals(), prove.totals());
     for (name, (rv, pv)) in CounterSet::FIELDS.iter().zip(r.values().into_iter().zip(p.values())) {
         if *name == "stores_elided" {
@@ -222,7 +221,7 @@ proptest! {
         loss_pct in 0u32..40,
         threads in 2usize..6,
     ) {
-        let s = seed() ^ salt;
+        let s = seed(SEED) ^ salt;
         let loss = f64::from(loss_pct) / 100.0;
         let reference = rollup_json(s, loss, 1);
         prop_assert_eq!(&reference, &rollup_json(s, loss, threads));

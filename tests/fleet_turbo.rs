@@ -3,6 +3,9 @@
 //! interpreter — across serial and parallel schedules, through OTA
 //! dissemination, and through a full fault-injection campaign.
 
+mod common;
+
+use common::seed;
 use harbor::DomainId;
 use harbor_fleet::{run_campaign, CampaignConfig, Fleet, FleetConfig, ModuleImage, NetConfig};
 use mini_sos::kernel::MSG_TIMER;
@@ -10,13 +13,8 @@ use mini_sos::{modules, Protection};
 
 const TREE_DOM: u8 = 3;
 
-/// Test seed, overridable for reproduction: `HARBOR_SEED=n cargo test`.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5eed,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5eed;
 
 /// Boots a 12-node fleet, disseminates Tree Routing through a lossy radio
 /// while Blink ticks, and returns the comparable telemetry JSON.
@@ -24,7 +22,7 @@ fn dissemination_run(threads: usize, turbo: bool) -> String {
     let cfg = FleetConfig {
         nodes: 12,
         protection: Protection::Umpu,
-        seed: seed(),
+        seed: seed(SEED),
         net: NetConfig { loss: 0.3, latency_min: 1, latency_max: 3 },
         threads,
         turbo,
@@ -59,7 +57,13 @@ fn turbo_fleet_telemetry_is_byte_identical_to_reference() {
 #[test]
 fn turbo_fault_campaign_reports_identically() {
     let campaign = |turbo: bool| CampaignConfig {
-        fleet: FleetConfig { nodes: 10, seed: seed(), threads: 4, turbo, ..FleetConfig::default() },
+        fleet: FleetConfig {
+            nodes: 10,
+            seed: seed(SEED),
+            threads: 4,
+            turbo,
+            ..FleetConfig::default()
+        },
         victims: 4,
         warmup_rounds: 6,
         after_rounds: 6,

@@ -1,6 +1,7 @@
-//! Golden bytes for one fixed small campaign: 24 nodes in 4 cohorts with
-//! the blackbox, tower and helm attached. A healthy Surge is promoted
-//! through the canary ladder, then a crash-looping Surge is rolled back.
+//! Golden bytes for one fixed small campaign: `harbor_helm::two_campaigns`
+//! on 24 nodes in 4 cohorts with the blackbox and tower attached. A
+//! healthy Surge is promoted through the canary ladder, then a
+//! crash-looping Surge is rolled back.
 //! Every observer's rendering is pinned by its FNV-1a digest, once when
 //! the healthy campaign is done and once when the crash-looper has been
 //! rolled back:
@@ -13,18 +14,9 @@
 //! The other suites compare runs with each other; this one notices when
 //! a refactor moves any of these bytes.
 
-use harbor::DomainId;
-use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig, TowerConfig};
-use harbor_helm::{HelmRun, PlanConfig, RolloutState};
-use mini_sos::kernel::MSG_TIMER;
-use mini_sos::{modules, Protection};
-
-const NODES: usize = 24;
-const COHORTS: u32 = 4;
-const GOOD_DOM: u8 = 3;
-const BAD_DOM: u8 = 4;
-const WARMUP: u64 = 4;
-const MAX_CAMPAIGN_ROUNDS: u64 = 240;
+use harbor_fleet::{BlackboxConfig, FleetConfig, NetConfig, TowerConfig};
+use harbor_helm::{two_campaigns, HelmRun, RolloutState};
+use mini_sos::Protection;
 
 /// Digests in render order: telemetry, rollup, helm log, tower trace,
 /// helm trace, causal trace.
@@ -59,33 +51,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// One workload round: Blink ticks everywhere, and every node that runs a
-/// campaign image ticks it too.
-fn tick(run: &mut HelmRun, live: &[(u16, u8)]) {
-    let fleet = run.fleet_mut();
-    fleet.post_all(DomainId::num(0), MSG_TIMER);
-    for i in 0..fleet.len() {
-        for &(id, dom) in live {
-            if fleet.node(i).has_installed(id) {
-                fleet.post(i, DomainId::num(dom), MSG_TIMER);
-            }
-        }
-    }
-}
-
-/// Steps closed-loop rounds until the active campaign reaches a verdict.
-fn drive(run: &mut HelmRun, live: &[(u16, u8)]) -> RolloutState {
-    for _ in 0..MAX_CAMPAIGN_ROUNDS {
-        tick(run, live);
-        run.step_round();
-        let state = run.helm().expect("campaign admitted").state();
-        if state.terminal() {
-            return state;
-        }
-    }
-    panic!("campaign reached no verdict in {MAX_CAMPAIGN_ROUNDS} rounds");
-}
-
 /// The six digests of the fleet and controller as they stand.
 fn digests(run: &mut HelmRun) -> [u64; 6] {
     let helm = run.helm().expect("campaign admitted");
@@ -116,33 +81,20 @@ fn check(stage: &str, got: [u64; 6], pinned: [u64; 6]) {
 #[test]
 fn campaign_renders_are_pinned() {
     let cfg = FleetConfig {
-        nodes: NODES,
+        nodes: 24,
         protection: Protection::Umpu,
         seed: 0x70_3e_12,
         net: NetConfig { loss: 0.1, ..NetConfig::default() },
         threads: 2,
         blackbox: Some(BlackboxConfig::default()),
-        cohorts: COHORTS,
+        cohorts: 4,
         tower: Some(TowerConfig::default()),
         ..FleetConfig::default()
     };
-    let fleet =
-        Fleet::new(&cfg, &[modules::blink(0), modules::tree_routing(1)]).expect("fleet builds");
-    let layout = fleet.layout();
-    let mut run = HelmRun::new(fleet);
-    for _ in 0..WARMUP {
-        tick(&mut run, &[]);
-        run.step_round();
-    }
-    let assemble = |src| ModuleImage::assemble(&src, &layout, Protection::Umpu).expect("assembles");
-
-    let good = run.admit(&assemble(modules::surge_fixed(GOOD_DOM, 1)), PlanConfig::ladder(COHORTS));
-    let mut live = vec![(good.expect("healthy image admits"), GOOD_DOM)];
-    assert_eq!(drive(&mut run, &live), RolloutState::Done);
-    check("promoted", digests(&mut run), PROMOTED);
-
-    let bad = run.admit(&assemble(modules::surge(BAD_DOM, 2)), PlanConfig::ladder(COHORTS));
-    live.push((bad.expect("crash-looper admits"), BAD_DOM));
-    assert_eq!(drive(&mut run, &live), RolloutState::RolledBack);
-    check("rolled back", digests(&mut run), ROLLED_BACK);
+    let mut promoted = None;
+    let mut c = two_campaigns(&cfg, |_| {}, |run| promoted = Some(digests(run)));
+    assert_eq!(c.good.state(), RolloutState::Done);
+    check("promoted", promoted.expect("the healthy campaign ended"), PROMOTED);
+    assert_eq!(c.bad().state(), RolloutState::RolledBack);
+    check("rolled back", digests(&mut c.run), ROLLED_BACK);
 }

@@ -10,9 +10,12 @@
 //! 3. a proptest harness mixing module-shape variants with random fault
 //!    targets, shrinkable on failure.
 
+mod common;
+
 use avr_core::exec::{Cpu, Step};
 use avr_core::isa::Reg;
 use avr_core::mem::PlainEnv;
+use common::seed;
 use harbor::DomainId;
 use harbor_turbo::TurboEngine;
 use mini_sos::kernel::MSG_TIMER;
@@ -22,13 +25,8 @@ use rand::{Rng, SeedableRng, StdRng};
 
 const DOM: u8 = 2;
 
-/// Explicit campaign seed: `HARBOR_SEED` if set, a fixed default otherwise.
-fn seed() -> u64 {
-    match std::env::var("HARBOR_SEED") {
-        Ok(v) => v.parse().expect("HARBOR_SEED must be a u64"),
-        Err(_) => 0x5eed,
-    }
-}
+/// Default seed; `HARBOR_SEED` overrides it.
+const SEED: u64 = 0x5eed;
 
 fn assert_same_state(a: &Cpu<PlainEnv>, b: &Cpu<PlainEnv>, what: &str) {
     assert_eq!(a.pc, b.pc, "{what}: pc");
@@ -45,7 +43,7 @@ fn assert_same_state(a: &Cpu<PlainEnv>, b: &Cpu<PlainEnv>, what: &str) {
 /// step by step, through the cached and fallback paths alike.
 #[test]
 fn random_flash_images_run_in_lockstep() {
-    let campaign = seed();
+    let campaign = seed(SEED);
     for image in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(campaign ^ (image << 32));
         let mut env = PlainEnv::new();
@@ -139,7 +137,7 @@ fn run_one(p: Protection, variant: u8, target: u16, turbo: bool) -> (String, u64
 /// count, and whether the poison byte landed.
 #[test]
 fn seeded_fault_injection_is_identical_under_turbo() {
-    let campaign = seed();
+    let campaign = seed(SEED);
     let mut rng = StdRng::seed_from_u64(campaign ^ 0x7475_7262); // "turb"
     for p in [Protection::None, Protection::Umpu, Protection::Sfi] {
         for round in 0..8 {
@@ -169,7 +167,7 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let p = [Protection::None, Protection::Umpu, Protection::Sfi][prot as usize];
-        let target = (target ^ (seed() as u16 & 0x03ff) ^ (salt as u16 & 0x01ff)).clamp(0x0062, 0x0ffe);
+        let target = (target ^ (seed(SEED) as u16 & 0x03ff) ^ (salt as u16 & 0x01ff)).clamp(0x0062, 0x0ffe);
         let reference = run_one(p, variant, target, false);
         let turbo = run_one(p, variant, target, true);
         prop_assert_eq!(reference, turbo, "{:?} variant {} target {:#06x}", p, variant, target);
