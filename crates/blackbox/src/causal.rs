@@ -3,8 +3,10 @@
 //!
 //! Every radio message in the fleet carries a Lamport stamp ([`LamportClock`]
 //! implements the two textbook rules: tick before send, max-merge on
-//! receive). Each node appends a [`CausalRecord`] per send/receive to its
-//! [`CausalLog`]; after a run, [`build_edges`] matches sends to receives on
+//! receive). With the blackbox attached, each node appends a
+//! [`CausalRecord`] per send/receive to its [`CausalLog`]; without it the
+//! stamps still travel but no log is kept, since nothing else reads one.
+//! After a run, [`build_edges`] matches sends to receives on
 //! `(from, seq)` — one send fans out to every receiver of a broadcast —
 //! and [`check_monotone`] verifies the defining Lamport property: stamps
 //! strictly increase along every happens-before edge (program order and

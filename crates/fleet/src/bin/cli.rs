@@ -24,52 +24,101 @@ pub fn seed(default: u64) -> u64 {
     }
 }
 
-/// Parsed command line: the arguments after the program name.
+/// The flags one viewer takes, and the usage line it prints for any
+/// other. A flag the viewer does not know is an error, so a command line
+/// written for a mode the viewer no longer has (a removed `--check`, say)
+/// fails instead of silently running the demo.
+pub struct Spec {
+    /// Printed, after the problem, when a command line is refused.
+    pub usage: &'static str,
+    /// Boolean flags, e.g. `"--json"`.
+    pub flags: &'static [&'static str],
+    /// Flags followed by one operand, e.g. `"--trace"`.
+    pub valued: &'static [&'static str],
+}
+
+impl Spec {
+    /// Parses the process's command line. A refused one (see
+    /// [`Spec::check`]) prints the problem and the usage line to stderr
+    /// and exits with status 2.
+    pub fn parse(&self) -> Cli {
+        self.check(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+            eprintln!("{e}\n{}", self.usage);
+            std::process::exit(2)
+        })
+    }
+
+    /// Checks `args`, the arguments after the program name: every
+    /// argument that starts with `-` must be one of the spec's flags, and
+    /// every valued flag needs its operand, which is taken as given even
+    /// if it starts with `-`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that breaks the rule.
+    pub fn check(&self, args: Vec<String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut rest = args.into_iter();
+        while let Some(a) = rest.next() {
+            if self.valued.contains(&a.as_str()) {
+                let Some(operand) = rest.next() else {
+                    return Err(format!("{a} needs an operand"));
+                };
+                cli.values.push((a, operand));
+            } else if self.flags.contains(&a.as_str()) {
+                cli.flags.push(a);
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag {a}"));
+            } else {
+                cli.free.push(a);
+            }
+        }
+        Ok(cli)
+    }
+}
+
+/// A checked command line, split into flags, valued flags with their
+/// operands, and free arguments.
+#[derive(Default)]
 pub struct Cli {
-    args: Vec<String>,
+    flags: Vec<String>,
+    values: Vec<(String, String)>,
+    free: Vec<String>,
 }
 
 impl Cli {
-    /// Parses the process's command line.
-    pub fn parse() -> Cli {
-        Cli { args: std::env::args().skip(1).collect() }
-    }
-
     /// Whether boolean flag `name` (e.g. `"--json"`) is present.
     pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+        self.flags.iter().any(|f| f == name)
     }
 
     /// The operand of valued flag `name` (e.g. `--trace <id>`), if the
-    /// flag is present and has one.
+    /// flag is present.
     pub fn value(&self, name: &str) -> Option<&str> {
-        let pos = self.args.iter().position(|a| a == name)?;
-        self.args.get(pos + 1).map(String::as_str)
+        self.values.iter().find(|(f, _)| f == name).map(|(_, v)| v.as_str())
     }
 
-    /// Whether valued flag `name` is present but missing its operand.
-    pub fn value_missing(&self, name: &str) -> bool {
-        self.flag(name) && self.value(name).is_none()
+    /// Free (non-flag) arguments, in order.
+    pub fn free(&self) -> Vec<&str> {
+        self.free.iter().map(String::as_str).collect()
     }
+}
 
-    /// Free (non-flag) arguments, skipping the operands of the listed
-    /// valued flags.
-    pub fn free(&self, valued: &[&str]) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &self.args {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if valued.contains(&a.as_str()) {
-                skip = true;
-                continue;
-            }
-            if !a.starts_with("--") {
-                out.push(a.as_str());
-            }
+/// Asserts that `spec` takes each `documented` command line (the ones its
+/// docs show) and refuses a removed check mode's flags (`--check`, `-D`),
+/// a misspelt flag and every valued flag without its operand.
+#[cfg(test)]
+pub fn assert_takes_only(spec: &Spec, documented: &[&[&str]]) {
+    let args = |line: &[&str]| line.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    for line in documented {
+        if let Err(e) = spec.check(args(line)) {
+            panic!("{line:?} refused: {e}");
         }
-        out
+    }
+    for line in [&["--check"][..], &["-D"], &["--json", "--jsno"]] {
+        assert!(spec.check(args(line)).is_err(), "{line:?} accepted");
+    }
+    for flag in spec.valued {
+        assert!(spec.check(args(&[flag])).is_err(), "{flag} accepted without an operand");
     }
 }

@@ -111,9 +111,16 @@ fn load_dump(path: &str) -> Result<Postmortem, String> {
     Postmortem::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The command line this viewer takes.
+const SPEC: cli::Spec = cli::Spec {
+    usage: "usage: harbor-postmortem [--json] [DUMP.json ...]",
+    flags: &["--json"],
+    valued: &[],
+};
+
 fn main() -> ExitCode {
-    let cli = cli::Cli::parse();
-    let files = cli.free(&[]);
+    let cli = SPEC.parse();
+    let files = cli.free();
     if files.is_empty() {
         run_demo()
     } else {
@@ -161,4 +168,17 @@ fn run_demo() -> ExitCode {
         out_dir.display()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn takes_its_documented_flags_only() {
+        let dumps = ["target/blackbox/dump_node0_0.json", "target/blackbox/dump_node4_1.json"];
+        cli::assert_takes_only(&SPEC, &[&[], &dumps, &["--json", dumps[0]]]);
+        let cli = SPEC.check(vec!["--json".into(), dumps[0].into()]).expect("takes a dump");
+        assert_eq!(cli.free(), [dumps[0]]);
+    }
 }

@@ -89,22 +89,21 @@ fn quiesce_scenario(
     (fleet, converged_at, window_start, delivered)
 }
 
+/// The command line this viewer takes.
+const SPEC: cli::Spec = cli::Spec {
+    usage: "usage: harbor-pulse [--json] [--nodes N]",
+    flags: &["--json"],
+    valued: &["--nodes"],
+};
+
 fn main() -> ExitCode {
-    let cli = cli::Cli::parse();
-    let nodes = match cli.value("--nodes") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("harbor-pulse: --nodes must be a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => {
-            if cli.value_missing("--nodes") {
-                eprintln!("harbor-pulse: --nodes needs a fleet size");
-                return ExitCode::FAILURE;
-            }
-            NODES
+    let cli = SPEC.parse();
+    let nodes = match cli.value("--nodes").map(str::parse) {
+        None => NODES,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => {
+            eprintln!("harbor-pulse: --nodes must be a positive integer");
+            return ExitCode::FAILURE;
         }
     };
     if cli.flag("--json") {
@@ -177,6 +176,11 @@ fn run_demo(seed: u64, nodes: usize) -> ExitCode {
 mod tests {
     use super::*;
     use harbor_pulse::LedgerTotals;
+
+    #[test]
+    fn takes_its_documented_flags_only() {
+        cli::assert_takes_only(&SPEC, &[&[], &["--json", "--nodes", "128"]]);
+    }
 
     /// The quiesced fleet at 512 nodes, at the default seed, on the
     /// reference interpreter and on turbo + prove. Both engines converge

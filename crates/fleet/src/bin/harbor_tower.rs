@@ -85,17 +85,20 @@ fn run_scenario(seed: u64, nodes: usize, threads: usize, disseminate: bool) -> F
     fleet
 }
 
+/// The command line this viewer takes.
+const SPEC: cli::Spec = cli::Spec {
+    usage: "usage: harbor-tower [--json | --trace n<node>-r<round>-c<cycles>]",
+    flags: &["--json"],
+    valued: &["--trace"],
+};
+
 fn main() -> ExitCode {
-    let cli = cli::Cli::parse();
+    let cli = SPEC.parse();
     let demo = || run_scenario(cli::seed(SEED), 64, 0, true);
     if cli.flag("--json") {
         println!("{}", demo().tower_rollup().expect("tower attached").to_json());
         ExitCode::SUCCESS
-    } else if cli.flag("--trace") {
-        let Some(id) = cli.value("--trace") else {
-            eprintln!("harbor-tower: --trace needs a dump id (n<node>-r<round>-c<cycles>)");
-            return ExitCode::FAILURE;
-        };
+    } else if let Some(id) = cli.value("--trace") {
         run_trace(demo(), id)
     } else {
         run_demo(demo())
@@ -164,6 +167,15 @@ fn run_trace(mut fleet: Fleet, id: &str) -> ExitCode {
 mod tests {
     use super::*;
     use harbor_tower::CounterSet;
+
+    #[test]
+    fn takes_its_documented_flags_only() {
+        cli::assert_takes_only(&SPEC, &[&[], &["--json"], &["--trace", "n2-r9-c5098"]]);
+        // An operand is an operand, even one that reads like a flag.
+        let cli = SPEC.check(vec!["--trace".into(), "--json".into()]).expect("takes an id");
+        assert!(!cli.flag("--json"));
+        assert_eq!(cli.value("--trace"), Some("--json"));
+    }
 
     /// The crash loop at scale: 512 nodes in 8 cohorts at the default
     /// seed, with cohort [`BAD_COHORT`]'s Surge faulting every round from

@@ -81,9 +81,12 @@ pub struct FleetConfig {
     pub scope: Option<harbor_scope::SinkSpec>,
     /// Optional blackbox wiring. When set, every node carries a
     /// [`FlightRecorder`] (whose masked ring becomes the node's trace sink
-    /// unless `scope` is set explicitly) and a [`Watchdog`] fed from the
-    /// node's own telemetry each round. Like `scope`, the blackbox is
-    /// observational: the simulated machines stay byte-identical.
+    /// unless `scope` is set explicitly), a [`Watchdog`] fed from the
+    /// node's own telemetry each round, and a [`CausalLog`] of its sends,
+    /// receives and faults; the seeder keeps a causal log too. Without it
+    /// no causal record is kept, though every envelope still carries its
+    /// Lamport stamp. Like `scope`, the blackbox is observational: the
+    /// simulated machines stay byte-identical.
     pub blackbox: Option<BlackboxConfig>,
     /// Run every node through the `harbor-turbo` fast-path engine.
     /// Execution is cycle-, state- and telemetry-identical either way
@@ -164,41 +167,46 @@ struct Seeder {
     pending: BTreeSet<u16>,
     announced: bool,
     clock: LamportClock,
-    causal: CausalLog,
+    // Kept only under the blackbox, like a node's.
+    causal: Option<CausalLog>,
     seq: u64,
 }
 
 impl Seeder {
     /// Broadcasts `packet` under the seeder's causal identity
-    /// ([`SEEDER_ID`]): tick, stamp, log, send.
+    /// ([`SEEDER_ID`]): tick, stamp, log (if kept), send.
     fn send(&mut self, round: u64, radio: &mut Radio, packet: Packet) {
         let lamport = self.clock.tick();
         let seq = self.seq;
         self.seq += 1;
-        self.causal.push(CausalRecord {
-            lamport,
-            round,
-            kind: CausalKind::Send,
-            peer: BROADCAST,
-            from: SEEDER_ID,
-            seq,
-            label: packet.label(),
-        });
+        if let Some(log) = &mut self.causal {
+            log.push(CausalRecord {
+                lamport,
+                round,
+                kind: CausalKind::Send,
+                peer: BROADCAST,
+                from: SEEDER_ID,
+                seq,
+                label: packet.label(),
+            });
+        }
         radio.send(round, BROADCAST, Envelope { from: SEEDER_ID, seq, lamport, packet });
     }
 
     fn step(&mut self, round: u64, radio: &mut Radio) {
-        for env in std::mem::take(&mut self.inbox) {
+        for env in self.inbox.drain(..) {
             let lamport = self.clock.observe(env.lamport);
-            self.causal.push(CausalRecord {
-                lamport,
-                round,
-                kind: CausalKind::Recv,
-                peer: env.from,
-                from: env.from,
-                seq: env.seq,
-                label: env.packet.label(),
-            });
+            if let Some(log) = &mut self.causal {
+                log.push(CausalRecord {
+                    lamport,
+                    round,
+                    kind: CausalKind::Recv,
+                    peer: env.from,
+                    from: env.from,
+                    seq: env.seq,
+                    label: env.packet.label(),
+                });
+            }
             if let Packet::Request { module, missing } = env.packet {
                 if module == self.image_id {
                     self.pending
@@ -254,7 +262,7 @@ pub struct Fleet {
     // Causal identity (clock, log, sequence counter) of a seeder retired
     // by a rollout commit/rollback, so a later dissemination never reuses
     // `(SEEDER_ID, seq)` identities or rewinds the Lamport clock.
-    retired_seeder: Option<(LamportClock, CausalLog, u64)>,
+    retired_seeder: Option<(LamportClock, Option<CausalLog>, u64)>,
     // Images retained for rollout management: the one in flight (so a
     // stage extension can re-seed it) and the last committed known-good.
     rollouts: BTreeMap<u16, ModuleImage>,
@@ -395,6 +403,7 @@ impl Fleet {
                     }
                     node.recorder = Some(recorder);
                     node.watchdog = Some(Watchdog::new(i as u32, bb.watchdog));
+                    node.causal = Some(CausalLog::new(i as u32));
                 }
                 node
             })
@@ -471,13 +480,16 @@ impl Fleet {
     /// Points the base station at `image` under an existing id. The
     /// seeder's causal identity (clock, log, sequence counter) outlives
     /// any one dissemination — a later image must not reuse
-    /// `(SEEDER_ID, seq)` message identities or rewind the clock.
+    /// `(SEEDER_ID, seq)` message identities or rewind the clock. The log
+    /// is kept only under the blackbox, as on the nodes.
     fn seed_image(&mut self, id: u16, image: &ModuleImage) {
         let (clock, causal, seq) = match self.seeder.take() {
             Some(s) => (s.clock, s.causal, s.seq),
             None => match self.retired_seeder.take() {
                 Some(identity) => identity,
-                None => (LamportClock::new(), CausalLog::new(SEEDER_ID), 0),
+                None => {
+                    (LamportClock::new(), self.cfg.blackbox.map(|_| CausalLog::new(SEEDER_ID)), 0)
+                }
             },
         };
         self.seeder = Some(Seeder {
@@ -677,7 +689,7 @@ impl Fleet {
         // radio's RNG sees a schedule-independent draw order. Only a
         // stepped node can have one.
         for &i in &awake {
-            for (to, env) in std::mem::take(&mut self.nodes[i].outbox) {
+            for (to, env) in self.nodes[i].outbox.drain(..) {
                 self.radio.send(round, to, env);
             }
         }
@@ -725,7 +737,8 @@ impl Fleet {
     /// idle. `min(threads, batches)` workers, the caller among them, take
     /// [`BATCH`]-node batches of disjoint `&mut` borrows from one cursor.
     ///
-    /// With pulse attached it also returns the round's [`StepStats`]. A
+    /// With pulse attached it also returns the round's [`StepStats`], with
+    /// one entry for every worker it started, batch or no batch. A
     /// skipped node counts as idle: it fell asleep with no pending work
     /// and nothing has reached it since. Its counter table is current, so
     /// the cycle sum and frontier read it there.
@@ -776,7 +789,6 @@ impl Fleet {
             stats.workers[0] =
                 WorkerStat { busy_ns: ns, span_ns: ns, finish_ns: ns, ..stats.workers[0] };
         }
-        stats.workers.retain(|w| w.nodes > 0);
         let cycles = self.nodes.iter().map(|n| n.counters().cycles);
         (stats.cycles_total, stats.cycles_frontier) =
             (cycles.clone().sum(), cycles.max().unwrap_or(0));
@@ -913,19 +925,19 @@ impl Fleet {
     /// Every causal log in the run: the nodes in id order, then the
     /// seeder's (if one disseminated). Feed to
     /// [`harbor_blackbox::check_monotone`] or
-    /// [`harbor_blackbox::chrome_trace`].
+    /// [`harbor_blackbox::chrome_trace`]. Empty unless the config enabled
+    /// the blackbox.
     pub fn causal_logs(&mut self) -> Vec<CausalLog> {
-        let mut logs: Vec<CausalLog> = self.nodes.iter().map(|n| n.causal.clone()).collect();
-        if let Some(seeder) = &self.seeder {
-            logs.push(seeder.causal.clone());
-        } else if let Some((_, causal, _)) = &self.retired_seeder {
-            logs.push(causal.clone());
-        }
-        logs
+        let seeder = match (&self.seeder, &self.retired_seeder) {
+            (Some(s), _) => Some(&s.causal),
+            (None, retired) => retired.as_ref().map(|(_, causal, _)| causal),
+        };
+        self.nodes.iter().map(|n| &n.causal).chain(seeder).flatten().cloned().collect()
     }
 
     /// The fleet's happens-before DAG rendered as one multi-track Perfetto
-    /// chrome-trace document with flow arrows on the message edges.
+    /// chrome-trace document with flow arrows on the message edges: a
+    /// document with no tracks unless the config enabled the blackbox.
     pub fn causal_trace(&mut self) -> String {
         harbor_blackbox::chrome_trace(&self.causal_logs())
     }

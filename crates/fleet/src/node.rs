@@ -78,8 +78,11 @@ pub struct Node {
     /// The node's Lamport clock: ticks on send, max-merges on receive, so
     /// every stamp respects happens-before across the whole fleet.
     pub clock: LamportClock,
-    /// Causal log of every send, receive and local milestone on this node.
-    pub causal: CausalLog,
+    /// Causal log of every send, receive and fault on this node. Set with
+    /// the flight recorder by the fleet's blackbox config, and `None`
+    /// otherwise, since only the blackbox's readers look at it. The clock
+    /// above and the envelope stamps run either way.
+    pub causal: Option<CausalLog>,
     /// Optional flight recorder (set by the fleet's blackbox config).
     pub recorder: Option<FlightRecorder>,
     /// Optional anomaly watchdog (set by the fleet's blackbox config).
@@ -125,7 +128,7 @@ impl Node {
             inbox: Vec::new(),
             outbox: Vec::new(),
             clock: LamportClock::new(),
-            causal: CausalLog::new(id),
+            causal: None,
             recorder: None,
             watchdog: None,
             seq: 0,
@@ -249,21 +252,23 @@ impl Node {
 
     /// Queues a packet for transmission: ticks the Lamport clock, stamps
     /// the envelope with this node's next `(from, seq)` message identity,
-    /// logs the send in the causal log, and counts it.
+    /// logs the send in the causal log (if kept), and counts it.
     fn transmit(&mut self, round: u64, to: NodeId, packet: Packet) {
         self.counters.tx += 1;
         let lamport = self.clock.tick();
         let seq = self.seq;
         self.seq += 1;
-        self.causal.push(CausalRecord {
-            lamport,
-            round,
-            kind: CausalKind::Send,
-            peer: to,
-            from: self.id,
-            seq,
-            label: packet.label(),
-        });
+        if let Some(log) = &mut self.causal {
+            log.push(CausalRecord {
+                lamport,
+                round,
+                kind: CausalKind::Send,
+                peer: to,
+                from: self.id,
+                seq,
+                label: packet.label(),
+            });
+        }
         self.outbox.push((to, Envelope { from: self.id, seq, lamport, packet }));
     }
 
@@ -301,20 +306,26 @@ impl Node {
     /// CPU for up to `cycle_budget` cycles if work is queued. Faults are
     /// recovered kernel-side, mirroring the paper's clean-restart story.
     pub fn step(&mut self, round: u64, cycle_budget: u64) {
-        for env in std::mem::take(&mut self.inbox) {
+        // The inbox keeps its buffer from round to round: `receive` needs
+        // the whole node, so the buffer is lent out while it drains.
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for env in inbox.drain(..) {
             self.counters.rx += 1;
             let lamport = self.clock.observe(env.lamport);
-            self.causal.push(CausalRecord {
-                lamport,
-                round,
-                kind: CausalKind::Recv,
-                peer: env.from,
-                from: env.from,
-                seq: env.seq,
-                label: env.packet.label(),
-            });
+            if let Some(log) = &mut self.causal {
+                log.push(CausalRecord {
+                    lamport,
+                    round,
+                    kind: CausalKind::Recv,
+                    peer: env.from,
+                    from: env.from,
+                    seq: env.seq,
+                    label: env.packet.label(),
+                });
+            }
             self.receive(round, env.packet);
         }
+        self.inbox = inbox;
 
         // NACK phase: if reassembly has stalled, ask the seeder for what is
         // still missing, backing off exponentially (with per-node jitter so
@@ -344,15 +355,17 @@ impl Node {
                     // architectural state still shows the fault; the fault
                     // is also a local milestone on the causal trace.
                     let lamport = self.clock.tick();
-                    self.causal.push(CausalRecord {
-                        lamport,
-                        round,
-                        kind: CausalKind::Local,
-                        peer: self.id,
-                        from: self.id,
-                        seq: 0,
-                        label: "fault",
-                    });
+                    if let Some(log) = &mut self.causal {
+                        log.push(CausalRecord {
+                            lamport,
+                            round,
+                            kind: CausalKind::Local,
+                            peer: self.id,
+                            from: self.id,
+                            seq: 0,
+                            label: "fault",
+                        });
+                    }
                     if let Some(rec) = &mut self.recorder {
                         self.counters.dumps +=
                             u64::from(rec.freeze(&self.sys, self.id, round, lamport));

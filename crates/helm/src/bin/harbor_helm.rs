@@ -25,8 +25,12 @@ use harbor_helm::{chrome_trace, query, two_campaigns};
 use mini_sos::Protection;
 use std::process::ExitCode;
 
+/// The command line this viewer takes.
+const SPEC: cli::Spec =
+    cli::Spec { usage: "usage: harbor-helm [--json]", flags: &["--json"], valued: &[] };
+
 fn main() -> ExitCode {
-    let cli = cli::Cli::parse();
+    let cli = SPEC.parse();
     let cfg = FleetConfig {
         nodes: 64,
         protection: Protection::Umpu,
@@ -70,4 +74,14 @@ fn main() -> ExitCode {
         out_dir.display()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn takes_its_documented_flags_only() {
+        cli::assert_takes_only(&SPEC, &[&[], &["--json"]]);
+    }
 }

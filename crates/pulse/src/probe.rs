@@ -79,7 +79,10 @@ pub struct WorkerStat {
 /// idle-work ledger, and the guest cycle counters read after stepping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepStats {
-    /// One entry per worker that stepped at least one batch.
+    /// One entry per worker the round started, in start order: a worker
+    /// that found every batch taken reports no nodes and no busy time, so
+    /// the count depends on the awake nodes and the thread cap only, not
+    /// on how the workers raced for batches.
     pub workers: Vec<WorkerStat>,
     /// This round's idle-work classification.
     pub ledger: RoundLedger,

@@ -60,8 +60,12 @@ fn drive_round(sys: &mut SosSystem, profiler: &mut DomainProfiler) {
     sys.run_slice_profiled(profiler, SLICE_BUDGET).expect("steady-state round faults");
 }
 
+/// The command line this viewer takes.
+const SPEC: cli::Spec =
+    cli::Spec { usage: "usage: harbor-trace [--json]", flags: &["--json"], valued: &[] };
+
 fn main() -> ExitCode {
-    run_report(cli::Cli::parse().flag("--json"))
+    run_report(SPEC.parse().flag("--json"))
 }
 
 /// One traced steady-state run per build: the profiled system, its event
@@ -115,4 +119,14 @@ fn run_report(json: bool) -> ExitCode {
         println!("metrics: {}\n", metrics.to_json());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn takes_its_documented_flags_only() {
+        cli::assert_takes_only(&SPEC, &[&[], &["--json"]]);
+    }
 }

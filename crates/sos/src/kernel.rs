@@ -121,6 +121,9 @@ pub struct KernelImage {
     pub protection: Protection,
     /// The layout.
     pub layout: SosLayout,
+    // Where the app code resumes after the boot break, resolved once here
+    // because every fleet slice of every node steers to it.
+    scheduler_entry: u32,
 }
 
 impl KernelImage {
@@ -163,7 +166,15 @@ impl KernelImage {
         v.jmp(isr); // words 2..=3: timer vector
         let vector = v.assemble(0).expect("vector assembles");
 
-        KernelImage { vector, kernel, api, protection, layout }
+        // The boot break is one word; the app code follows it.
+        let scheduler_entry = kernel.require("ker_boot_done") + 1;
+        KernelImage { vector, kernel, api, protection, layout, scheduler_entry }
+    }
+
+    /// Word address where the app code resumes after the boot break (see
+    /// `SosSystem::scheduler_entry`).
+    pub const fn scheduler_entry(&self) -> u32 {
+        self.scheduler_entry
     }
 
     /// Word address of a kernel symbol (searches all sections).
@@ -275,9 +286,8 @@ fn emit_reset(a: &mut Asm, protection: Protection, l: &SosLayout) {
     }
 
     // Boot complete: hand control to the host loader. Execution resumes at
-    // the app code that follows.
-    let done = a.here("ker_boot_done");
-    let _ = done;
+    // the app code that follows (`KernelImage::scheduler_entry`).
+    a.here("ker_boot_done");
     a.brk();
 }
 

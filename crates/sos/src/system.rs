@@ -12,13 +12,14 @@ use avr_core::exec::{Cpu, Step};
 use avr_core::mem::{Flash, PlainEnv};
 use avr_core::{Fault, WordAddr};
 use harbor::DomainId;
+use harbor_flow::StoreCertificate;
 use harbor_scope::{
     ArchSnapshot, DomainProfiler, Event, Mechanism, RegionMap, ScopeSink, TraceSink,
 };
 use harbor_sfi::SfiRuntime;
 use harbor_turbo::{TurboEngine, TurboStats};
-use std::sync::Arc;
-use umpu::UmpuEnv;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+use umpu::{ElisionMap, UmpuEnv};
 
 /// One protection fault the system observed, in the uniform
 /// code/operand vocabulary shared by the UMPU hardware and the SFI
@@ -54,6 +55,39 @@ pub enum Protection {
 enum Mach {
     Plain(Cpu<PlainEnv>),
     Umpu(Cpu<UmpuEnv>),
+}
+
+/// The union elision map of `certs`, `None` if no store is certified.
+///
+/// Every system that holds an equal certificate list gets the same `Arc`,
+/// so the nodes of a fleet that installed one image share one map. Keys
+/// compare by value (origin, length and bitmap), never by digest alone: a
+/// digest collision must not hand a system another image's map, which
+/// would switch protection off for a store its own certificate never
+/// proved. Maps are held weakly, so each is freed with the last system
+/// that publishes it.
+fn shared_elision_map(certs: &[(DomainId, StoreCertificate)]) -> Option<Arc<ElisionMap>> {
+    type Memo = Vec<(Vec<StoreCertificate>, Weak<ElisionMap>)>;
+    static MAPS: Mutex<Memo> = Mutex::new(Vec::new());
+    // Every install and unload publishes, with prove on or off: nothing
+    // certified takes no lock.
+    if certs.iter().all(|(_, cert)| cert.certified_stores == 0) {
+        return None;
+    }
+    // Nothing in between can panic and leave the list half-changed, so a
+    // poisoned lock still guards a valid list.
+    let mut maps = MAPS.lock().unwrap_or_else(PoisonError::into_inner);
+    maps.retain(|(_, map)| map.strong_count() > 0);
+    let same = |key: &[StoreCertificate]| {
+        key.len() == certs.len() && key.iter().zip(certs).all(|(k, (_, c))| k == c)
+    };
+    if let Some(map) = maps.iter().find(|(key, _)| same(key)).and_then(|(_, m)| m.upgrade()) {
+        return Some(map);
+    }
+    let map: Arc<ElisionMap> =
+        Arc::new(certs.iter().flat_map(|(_, cert)| cert.certified_pcs()).collect());
+    maps.push((certs.iter().map(|(_, c)| c.clone()).collect(), Arc::downgrade(&map)));
+    Some(map)
 }
 
 /// Every engine a system can run, as `(turbo, prove)` pairs for
@@ -112,7 +146,7 @@ pub struct SosSystem {
     // map) at every rebuild point; `certs_generation` records the flash
     // generation they were derived under, mirroring the turbo pages'
     // invalidation discipline.
-    store_certs: Vec<(DomainId, harbor_flow::StoreCertificate)>,
+    store_certs: Vec<(DomainId, StoreCertificate)>,
     certs_generation: u64,
     // Lifecycle counts for post-boot dynamic loads — boot-time module
     // registration is not counted. Observability only (fleet rollups
@@ -245,7 +279,7 @@ impl SosSystem {
     /// The cached per-domain store certificates (empty unless
     /// [`SosSystem::set_prove`] is on under UMPU), and the flash generation
     /// they were derived under.
-    pub fn store_certificates(&self) -> (&[(DomainId, harbor_flow::StoreCertificate)], u64) {
+    pub fn store_certificates(&self) -> (&[(DomainId, StoreCertificate)], u64) {
         (&self.store_certs, self.certs_generation)
     }
 
@@ -263,7 +297,7 @@ impl SosSystem {
     /// `m`'s store certificate, if elision is on under UMPU and the module
     /// certifies. It depends only on the module's own words, origin,
     /// entries and state segment.
-    fn certify(&self, m: &LoadedModule) -> Option<harbor_flow::StoreCertificate> {
+    fn certify(&self, m: &LoadedModule) -> Option<StoreCertificate> {
         if !self.prove || self.protection != Protection::Umpu {
             return None;
         }
@@ -285,15 +319,7 @@ impl SosSystem {
     /// generation so decoded fast-path pages (which bake the elision bit
     /// per slot) can never outlive the map they were built against.
     fn publish_elision(&mut self) {
-        // Built only if some store is certified: every install and unload
-        // publishes, with prove on or off.
-        let mut map = None;
-        for (_, cert) in &self.store_certs {
-            for pc in cert.certified_pcs() {
-                map.get_or_insert_with(umpu::ElisionMap::new).set(pc);
-            }
-        }
-        let map = map.filter(|m| !m.is_empty()).map(Arc::new);
+        let map = shared_elision_map(&self.store_certs);
         self.flash_generation += 1;
         self.certs_generation = self.flash_generation;
         if let Mach::Umpu(c) = &mut self.mach {
@@ -781,7 +807,7 @@ impl SosSystem {
     /// boot break — steering here re-enters the app's scheduler loop (the
     /// recurring-timer idiom of the examples, exposed for fleet stepping).
     pub fn scheduler_entry(&self) -> WordAddr {
-        self.symbol("ker_boot_done") + 1
+        self.kernel.scheduler_entry()
     }
 
     /// Re-enters the app code and runs one bounded scheduling slice: the

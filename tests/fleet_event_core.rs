@@ -149,6 +149,14 @@ fn crash_loop(schedule: Schedule, base: FleetConfig) -> Observed {
     let fault_alerts =
         seen.alerts.iter().filter(|a| a.node == 1 && a.kind == AlertKind::FaultRate).count();
     assert_eq!(fault_alerts, 2, "{schedule:?} {}: one alert per burst on node 1", engine(&cfg));
+    // The blackbox keeps a causal log on every node and on the seeder, so
+    // the oracle compares real records here.
+    assert_eq!(seen.causal.len(), NODES + 1, "{schedule:?} {}: causal logs", engine(&cfg));
+    assert!(
+        seen.causal.iter().all(|log| !log.records.is_empty()),
+        "{schedule:?} {}: an empty causal log",
+        engine(&cfg)
+    );
     seen
 }
 
@@ -161,7 +169,7 @@ fn watchdog_windows_drain_on_idle_nodes() {
 /// moment helm commands the rollback nothing is posted any more. No
 /// blackbox is attached, so no watchdog keeps the canaries awake: only the
 /// rollback's wake makes the restored machines' counters reach their
-/// telemetry.
+/// telemetry. (Nor is a causal log kept, so both schedules observe none.)
 fn canary_rollback(schedule: Schedule, base: FleetConfig) -> Observed {
     let cfg = FleetConfig { cohorts: 4, tower: Some(TowerConfig::default()), ..base };
     let fleet =

@@ -1,16 +1,22 @@
 //! Heap guard for fleet memory. Nodes are clones of one booted prototype
 //! and share its kernel image and flash pages; a checkpoint is one more
-//! clone, and an install copies only the flash pages it burns. This file
-//! counts live heap bytes with a counting global allocator and bounds what
-//! one node, one clone and one install keep, so a slide back to private
-//! per-node flash (128 KiB a node) fails here.
+//! clone, and an install copies only the flash pages it burns. Systems
+//! that install one image share one elision map. This file counts live
+//! heap bytes with a counting global allocator and bounds what one node,
+//! one clone and one install keep, so a slide back to private per-node
+//! flash (128 KiB a node) fails here. It also bounds what a converged
+//! fleet gains over a long soak, which holds causal logging to the
+//! blackbox fleets that read it.
 //!
 //! The file holds one test, so no other test allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use harbor_fleet::{Fleet, FleetConfig};
+use harbor::DomainId;
+use harbor_blackbox::CausalKind;
+use harbor_fleet::{BlackboxConfig, Fleet, FleetConfig, ModuleImage, NetConfig};
+use mini_sos::kernel::MSG_TIMER;
 use mini_sos::{loader, modules, Protection, SosSystem};
 
 /// The system allocator, counting the bytes it holds live.
@@ -98,14 +104,62 @@ fn prototype() -> SosSystem {
     sys
 }
 
+/// Rounds between the seeder's re-adverts, and between the soak's Blink
+/// bursts (as in the benchmark's `ota_soak`).
+const PERIOD: u64 = 16;
+
+/// The soak: 20 periods after convergence.
+const SOAK_ROUNDS: u64 = 20 * PERIOD;
+
+/// The 64-node soak fleet: Blink on the reference interpreter, Tree
+/// Routing disseminated over a 10%-loss radio, as `ota_soak` runs it.
+/// Converged, with the channel drained, at a round just after a
+/// re-advert's deliveries, so the soak starts and ends in the same phase.
+fn converged_soak_fleet(blackbox: Option<BlackboxConfig>) -> Fleet {
+    let cfg = FleetConfig {
+        nodes: 64,
+        protection: Protection::Umpu,
+        net: NetConfig { loss: 0.1, ..NetConfig::default() },
+        threads: 1,
+        blackbox,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::new(&cfg, &[modules::blink(0)]).expect("soak fleet builds");
+    let image = ModuleImage::assemble(&modules::tree_routing(3), &fleet.layout(), cfg.protection)
+        .expect("tree routing assembles");
+    fleet.disseminate(&image);
+    fleet.run_until_converged(600).expect("soak fleet converges");
+    while fleet.radio_stats().3 > 0 || fleet.round() % PERIOD != 2 {
+        soak_round(&mut fleet);
+    }
+    fleet
+}
+
+/// One soak round: a Blink burst on every node once a period.
+fn soak_round(fleet: &mut Fleet) {
+    if fleet.round() % PERIOD == PERIOD / 2 {
+        fleet.post_all(DomainId::num(0), MSG_TIMER);
+    }
+    fleet.step_round();
+}
+
 /// Bounds, at 1.5× or more of what this test measured on x86-64: 15,317 B
 /// per node, 13,309 B per clone (SRAM, the 512-entry page table, turbo's
-/// per-engine page tables, module objects and certificates) and 9,088 B
-/// per install (an 8 KiB elision map and the flash pages it burns). With
-/// private flash a node and a clone each keep over 131,072 B.
+/// per-engine page tables, module objects and certificates), 9,256 B for
+/// the first install of an image (an 8 KiB elision map, its memo key and
+/// the flash pages it burns) and 872 B for a second install of it, which
+/// shares the first one's map. With private flash a node and a clone each keep
+/// over 131,072 B.
 const NODE_BOUND: usize = 24 * 1024;
 const CLONE_BOUND: usize = 20 * 1024;
 const INSTALL_BOUND: usize = 14 * 1024;
+const SHARED_INSTALL_BOUND: usize = 2 * 1024;
+
+/// Bound on what the converged soak fleet, without the blackbox, gains
+/// over [`SOAK_ROUNDS`]; this test measured 0 B on x86-64. Its nodes hear
+/// about 1,150 re-adverts in that time, so a 56-byte causal record per
+/// delivery would keep about 64 KB.
+const SOAK_BOUND: usize = 4 * 1024;
 
 #[test]
 fn nodes_checkpoints_and_installs_keep_only_what_they_burn() {
@@ -121,13 +175,39 @@ fn nodes_checkpoints_and_installs_keep_only_what_they_burn() {
 
     let proto = prototype();
     let (mut clone, per_clone) = kept(|| proto.clone());
-    let loaded =
-        loader::load_module(&modules::surge_fixed(3, 1), &clone.layout, Protection::Umpu, None)
-            .expect("surge assembles");
+    let surge = || {
+        loader::load_module(&modules::surge_fixed(3, 1), &proto.layout, Protection::Umpu, None)
+            .expect("surge assembles")
+    };
+    let loaded = surge();
     let ((), per_install) = kept(|| clone.install_module(loaded));
+    let mut second = proto.clone();
+    let loaded = surge();
+    let ((), shared_install) = kept(|| second.install_module(loaded));
 
-    eprintln!("live heap: {per_node} B/node, {per_clone} B/clone, {per_install} B/install");
+    let mut soak = converged_soak_fleet(None);
+    let ((), soaked) = kept(|| (0..SOAK_ROUNDS).for_each(|_| soak_round(&mut soak)));
+
+    eprintln!(
+        "live heap: {per_node} B/node, {per_clone} B/clone, {per_install} B/install, \
+         {shared_install} B/second install, {soaked} B over the soak"
+    );
     assert!(per_node <= NODE_BOUND, "{per_node} B per fleet node (bound {NODE_BOUND})");
     assert!(per_clone <= CLONE_BOUND, "{per_clone} B per system clone (bound {CLONE_BOUND})");
     assert!(per_install <= INSTALL_BOUND, "{per_install} B per install (bound {INSTALL_BOUND})");
+    assert!(
+        shared_install <= SHARED_INSTALL_BOUND,
+        "{shared_install} B for a second install of one image (bound {SHARED_INSTALL_BOUND})"
+    );
+    assert!(soaked <= SOAK_BOUND, "{soaked} B gained over the soak (bound {SOAK_BOUND})");
+    assert!(soak.causal_logs().is_empty(), "a fleet without the blackbox kept causal logs");
+
+    // The same soak with the blackbox logs every delivery, to a node or
+    // to the seeder, as one receive record.
+    let mut soak = converged_soak_fleet(Some(BlackboxConfig::default()));
+    (0..SOAK_ROUNDS).for_each(|_| soak_round(&mut soak));
+    let logs = soak.causal_logs();
+    assert_eq!(logs.len(), 64 + 1, "one log per node and the seeder's");
+    let recvs = logs.iter().flat_map(|l| &l.records).filter(|r| r.kind == CausalKind::Recv);
+    assert_eq!(recvs.count() as u64, soak.radio_stats().1, "one receive record per delivery");
 }

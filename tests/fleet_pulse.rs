@@ -124,6 +124,29 @@ fn ledger_matches_independent_census() {
     }
 }
 
+/// A round reports every worker it started, including one that found
+/// every batch taken, so its worker count is `min(threads, batches)` of
+/// the nodes it stepped, not a trace of how the workers raced: two
+/// 4-thread runs of one seed agree on it round by round.
+#[test]
+fn worker_counts_repeat_run_to_run() {
+    for engine @ (turbo, prove) in ENGINES {
+        let on = format!("turbo={turbo} prove={prove}");
+        let counts = || {
+            let report = run(true, 4, engine).pulse_report().expect("pulse enabled");
+            let bad = report.reconcile();
+            assert!(bad.is_empty(), "{on}: {bad:?}");
+            for r in &report.timeline {
+                let stepped: u64 = r.workers.iter().map(|w| w.nodes).sum();
+                let started = 4.min(stepped.div_ceil(4)) as usize;
+                assert_eq!(r.workers.len(), started, "{on} round {}: workers", r.round);
+            }
+            report.timeline.iter().map(|r| r.workers.len()).collect::<Vec<_>>()
+        };
+        assert_eq!(counts(), counts(), "{on}: per-round worker counts");
+    }
+}
+
 #[test]
 fn serial_and_parallel_ledgers_are_byte_identical() {
     for engine @ (turbo, prove) in ENGINES {
