@@ -224,10 +224,10 @@ pub trait Env {
     }
 
     /// Whether the store instruction at `pc` is covered by a static store
-    /// certificate under the current protection state. Fast-path page
+    /// certificate under the current protection state. Fast-path image
     /// builders bake this into decoded slots; the stamp discipline is the
-    /// same as for fetch grants — pages are rebuilt when the backing state
-    /// changes. The default (`false`) opts out of elision.
+    /// same as for fetch grants — the image is replaced when the backing
+    /// state changes. The default (`false`) opts out of elision.
     fn store_certified(&self, _pc: WordAddr) -> bool {
         false
     }

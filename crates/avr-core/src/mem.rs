@@ -46,6 +46,10 @@ pub const PORT_PANIC: u8 = 0x19;
 /// shared page before writing to it. No clone can therefore see another
 /// clone's burn, and a clone owns exactly the pages it has written since
 /// it was made.
+///
+/// Two flashes are equal when every word is: a page they share is equal
+/// by pointer, and only pages copied on either side are compared word by
+/// word, so comparing two clones costs about their burns.
 #[derive(Debug, Clone)]
 pub struct Flash {
     // Fixed-size, so the page and word indices of a wrapped address are
@@ -58,6 +62,14 @@ impl Default for Flash {
         Flash::new()
     }
 }
+
+impl PartialEq for Flash {
+    fn eq(&self, other: &Flash) -> bool {
+        self.pages.iter().zip(other.pages.iter()).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
+impl Eq for Flash {}
 
 impl Flash {
     /// Creates erased (all-ones, like real flash) program memory. Every
@@ -412,6 +424,22 @@ mod tests {
         c.set_word(0x102, 7);
         assert_eq!(shared_pages(&f, &c), FLASH_PAGES - 2);
         assert_eq!(f.word(0x102), 3);
+    }
+
+    #[test]
+    fn equality_is_by_content_whoever_owns_the_pages() {
+        let mut f = Flash::new();
+        f.load_words(0x100, &[1, 2, 3]);
+        let (mut a, mut b) = (f.clone(), f.clone());
+        assert_eq!(a, b, "clones share every page");
+        a.load_words(0x4000, &[7, 8]);
+        assert_ne!(a, b, "a burn differs from the erased page");
+        b.load_words(0x4000, &[7, 8]);
+        assert_eq!(shared_pages(&a, &b), FLASH_PAGES - 1, "each burn copied its own page");
+        assert_eq!(a, b, "copied pages compare by content");
+        b.set_word(0x4001, 9);
+        assert_ne!(a, b);
+        assert_ne!(f, a, "the source keeps its erased page");
     }
 
     #[test]

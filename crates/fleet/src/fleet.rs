@@ -377,8 +377,8 @@ impl Fleet {
         proto.set_load_policy(cfg.load_policy);
         // Enable on the *prototype*, before cloning: priming decodes the
         // flash image once, and every node then shares it behind an `Arc`.
-        // Prove before turbo: the decoded pages bake the elision bit, so
-        // the map must be published before the engine primes.
+        // Either order is correct; proving first lets that image carry the
+        // elision bits, so no node resolves another one at its first slice.
         if cfg.prove {
             proto.set_prove(true);
         }

@@ -267,7 +267,7 @@ impl DataflowConfig {
 /// memory-map check at that PC is redundant and may be elided. The
 /// certificate is deterministic for a given image ([`StoreCertificate::digest`]
 /// pins that in CI) and is invalidated with the image itself (the host's
-/// `flash_generation`, exactly like decoded turbo pages).
+/// `flash_generation`, exactly like a decoded turbo image).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreCertificate {
     origin: u32,

@@ -51,6 +51,7 @@ pub mod kernel;
 pub mod layout;
 pub mod loader;
 pub mod modules;
+mod share;
 pub mod system;
 
 pub use kernel::{JtEntry, KernelApi, KernelImage, MSG_INIT, MSG_TIMER};

@@ -7,6 +7,7 @@ use crate::loader::{
     build_jump_tables, check_policy, load_module, load_module_with_policy, LoadError, LoadPolicy,
     LoadedModule, ModuleSource,
 };
+use crate::share::WeakMemo;
 use avr_asm::Asm;
 use avr_core::exec::{Cpu, Step};
 use avr_core::mem::{Flash, PlainEnv};
@@ -17,8 +18,8 @@ use harbor_scope::{
     ArchSnapshot, DomainProfiler, Event, Mechanism, RegionMap, ScopeSink, TraceSink,
 };
 use harbor_sfi::SfiRuntime;
-use harbor_turbo::{TurboEngine, TurboStats};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use harbor_turbo::{DecodedImage, TurboEngine, TurboStats};
+use std::sync::{Arc, Weak};
 use umpu::{ElisionMap, UmpuEnv};
 
 /// One protection fault the system observed, in the uniform
@@ -66,28 +67,97 @@ enum Mach {
 /// would switch protection off for a store its own certificate never
 /// proved. Maps are held weakly, so each is freed with the last system
 /// that publishes it.
-fn shared_elision_map(certs: &[(DomainId, StoreCertificate)]) -> Option<Arc<ElisionMap>> {
-    type Memo = Vec<(Vec<StoreCertificate>, Weak<ElisionMap>)>;
-    static MAPS: Mutex<Memo> = Mutex::new(Vec::new());
+fn shared_elision_map(certs: &[(DomainId, Arc<StoreCertificate>)]) -> Option<Arc<ElisionMap>> {
+    static MAPS: WeakMemo<Vec<Arc<StoreCertificate>>, ElisionMap> = WeakMemo::new();
     // Every install and unload publishes, with prove on or off: nothing
     // certified takes no lock.
     if certs.iter().all(|(_, cert)| cert.certified_stores == 0) {
         return None;
     }
-    // Nothing in between can panic and leave the list half-changed, so a
-    // poisoned lock still guards a valid list.
-    let mut maps = MAPS.lock().unwrap_or_else(PoisonError::into_inner);
-    maps.retain(|(_, map)| map.strong_count() > 0);
-    let same = |key: &[StoreCertificate]| {
-        key.len() == certs.len() && key.iter().zip(certs).all(|(k, (_, c))| k == c)
+    MAPS.share(
+        |key| key.len() == certs.len() && key.iter().zip(certs).all(|(k, (_, c))| k == c),
+        || {
+            let map = certs.iter().flat_map(|(_, cert)| cert.certified_pcs()).collect();
+            Some((certs.iter().map(|(_, cert)| Arc::clone(cert)).collect(), map))
+        },
+    )
+}
+
+/// What `harbor_flow::certify_module_stores` reads: a module's words,
+/// origin and entry addresses, and its state segment's base and length.
+struct CertKey {
+    words: Vec<u16>,
+    origin: u32,
+    entries: Vec<u32>,
+    segment: (u16, u16),
+}
+
+/// `m`'s store certificate against its state `segment`, `None` if the
+/// module does not certify. The fixpoint runs once for every module that
+/// any live system holds a certificate of: systems that install equal
+/// words at the same origin with the same entries and segment share one
+/// `Arc`, whatever their flash holds elsewhere.
+fn shared_certificate(m: &LoadedModule, segment: (u16, u16)) -> Option<Arc<StoreCertificate>> {
+    static CERTS: WeakMemo<CertKey, StoreCertificate> = WeakMemo::new();
+    let (words, origin, entries) = (m.object.words(), m.object.origin(), &m.entry_addrs[..]);
+    CERTS.share(
+        |key| {
+            key.origin == origin
+                && key.segment == segment
+                && key.entries == entries
+                && key.words == words
+        },
+        || {
+            let (base, len) = segment;
+            let cert =
+                harbor_flow::certify_module_stores(words, origin, entries, base, len).ok()?;
+            let key = CertKey { words: words.to_vec(), origin, entries: entries.to_vec(), segment };
+            Some((key, cert))
+        },
+    )
+}
+
+/// Everything [`TurboEngine::decode`] reads from a machine's env: every
+/// flash word, the env kind, and under UMPU what `Env::store_certified`
+/// reads, the enable bit and the published elision map. A slot's baked
+/// elision bit skips its store's memory-map check, so an image decoded
+/// under another map must never run on this one: the map is compared by
+/// pointer (the memo shares maps by value, so equal maps are one `Arc`).
+/// It is held weakly, which keeps its allocation, so no other map can take
+/// its address, yet leaves the map to die with its last system.
+struct ImageKey {
+    flash: Flash,
+    umpu: Option<(bool, Option<Weak<ElisionMap>>)>,
+}
+
+/// The decoded image of `mach`'s flash and elision state (see
+/// [`ImageKey`]): the one every live system with an equal state runs
+/// from, or else one `engine` decodes now. One decode serves every node of
+/// a fleet that installs the same module.
+fn shared_image(mach: &Mach, engine: &mut TurboEngine) -> Option<Arc<DecodedImage>> {
+    static IMAGES: WeakMemo<ImageKey, DecodedImage> = WeakMemo::new();
+    let (flash, umpu) = match mach {
+        Mach::Plain(c) => (&c.env.flash, None),
+        Mach::Umpu(c) => (&c.env.flash, Some((c.env.enabled(), c.env.elision_map()))),
     };
-    if let Some(map) = maps.iter().find(|(key, _)| same(key)).and_then(|(_, m)| m.upgrade()) {
-        return Some(map);
-    }
-    let map: Arc<ElisionMap> =
-        Arc::new(certs.iter().flat_map(|(_, cert)| cert.certified_pcs()).collect());
-    maps.push((certs.iter().map(|(_, c)| c.clone()).collect(), Arc::downgrade(&map)));
-    Some(map)
+    let same_umpu = |key: &Option<(bool, Option<Weak<ElisionMap>>)>| match (key, umpu) {
+        (None, None) => true,
+        (Some((on, map)), Some((now_on, now_map))) => {
+            *on == now_on && map.as_ref().map(Weak::as_ptr) == now_map.map(Arc::as_ptr)
+        }
+        _ => false,
+    };
+    IMAGES.share(
+        |key| same_umpu(&key.umpu) && key.flash == *flash,
+        || {
+            let image = match mach {
+                Mach::Plain(c) => engine.decode(&c.env),
+                Mach::Umpu(c) => engine.decode(&c.env),
+            };
+            let umpu = umpu.map(|(on, map)| (on, map.map(Arc::downgrade)));
+            Some((ImageKey { flash: flash.clone(), umpu }, image))
+        },
+    )
 }
 
 /// Every engine a system can run, as `(turbo, prove)` pairs for
@@ -142,11 +212,12 @@ pub struct SosSystem {
     // elision map to the env. Cycle-, event- and state-identical either
     // way — see `DESIGN.md` §7.
     prove: bool,
-    // Cached per-domain store certificates, re-derived (with the elision
-    // map) at every rebuild point; `certs_generation` records the flash
-    // generation they were derived under, mirroring the turbo pages'
-    // invalidation discipline.
-    store_certs: Vec<(DomainId, StoreCertificate)>,
+    // Per-domain store certificates, shared with every system that holds
+    // the same module (see `shared_certificate`) and re-derived (with the
+    // elision map) at every rebuild point; `certs_generation` records the
+    // flash generation they were derived under, mirroring the turbo
+    // image's invalidation discipline.
+    store_certs: Vec<(DomainId, Arc<StoreCertificate>)>,
     certs_generation: u64,
     // Lifecycle counts for post-boot dynamic loads — boot-time module
     // registration is not counted. Observability only (fleet rollups
@@ -261,14 +332,13 @@ impl SosSystem {
     /// built system; [`ENGINES`] lists every turbo/prove combination.
     /// A no-op outside UMPU (the SFI build elides through [`LoadPolicy`]'s
     /// `elide_certified`, which *does* change cycle counts).
+    ///
+    /// Either order with [`SosSystem::set_turbo`] runs identically: the map
+    /// moves the flash generation, so a turbo engine takes the decoded
+    /// image that carries the new map's elision bits at its next run.
     pub fn set_prove(&mut self, on: bool) {
         self.prove = on;
         self.rebuild_elision();
-        if self.turbo.is_some() {
-            // Re-prime so the shared decoded image carries elision bits
-            // consistent with the new map.
-            self.set_turbo(true);
-        }
     }
 
     /// Whether store-check elision is active.
@@ -279,7 +349,7 @@ impl SosSystem {
     /// The cached per-domain store certificates (empty unless
     /// [`SosSystem::set_prove`] is on under UMPU), and the flash generation
     /// they were derived under.
-    pub fn store_certificates(&self) -> (&[(DomainId, StoreCertificate)], u64) {
+    pub fn store_certificates(&self) -> (&[(DomainId, Arc<StoreCertificate>)], u64) {
         (&self.store_certs, self.certs_generation)
     }
 
@@ -296,28 +366,20 @@ impl SosSystem {
 
     /// `m`'s store certificate, if elision is on under UMPU and the module
     /// certifies. It depends only on the module's own words, origin,
-    /// entries and state segment.
-    fn certify(&self, m: &LoadedModule) -> Option<StoreCertificate> {
+    /// entries and state segment, so it is derived once for every system
+    /// that installs the module (see `shared_certificate`).
+    fn certify(&self, m: &LoadedModule) -> Option<Arc<StoreCertificate>> {
         if !self.prove || self.protection != Protection::Umpu {
             return None;
         }
-        let seg = self.layout.state_addr(m.domain.index());
-        let len = self.layout.state_len();
-        harbor_flow::certify_module_stores(
-            m.object.words(),
-            m.object.origin(),
-            &m.entry_addrs,
-            seg,
-            len,
-        )
-        .ok()
+        shared_certificate(m, (self.layout.state_addr(m.domain.index()), self.layout.state_len()))
     }
 
     /// Publishes the union of the kept certificates as the env's elision
     /// map — at each point the set of certificates can change:
     /// [`SosSystem::set_prove`], install, unload. Always bumps the flash
-    /// generation so decoded fast-path pages (which bake the elision bit
-    /// per slot) can never outlive the map they were built against.
+    /// generation so a decoded fast-path image (which bakes the elision bit
+    /// per slot) can never outlive the map it was built against.
     fn publish_elision(&mut self) {
         let map = shared_elision_map(&self.store_certs);
         self.flash_generation += 1;
@@ -330,12 +392,19 @@ impl SosSystem {
     /// Enables or disables the turbo fast-path engine (`harbor-turbo`).
     /// Execution is cycle-, event- and state-identical either way; turbo
     /// only removes per-instruction fetch/decode work. Off in a freshly
-    /// built system; [`ENGINES`] lists every turbo/prove combination.
+    /// built system; [`ENGINES`] lists every turbo/prove combination, and
+    /// either order with [`SosSystem::set_prove`] runs identically.
+    ///
+    /// Once the flash generation moves (an install, an unload, a new
+    /// elision map), the engine's next run takes the decoded image of the
+    /// new flash and elision state from a process-wide memo: every live
+    /// system whose state is equal runs from one image, which the first of
+    /// them to run decodes.
     pub fn set_turbo(&mut self, on: bool) {
         self.turbo = if on {
-            // Prime eagerly: the decoded image is shared (`Arc`) by every
-            // clone of this system, so a fleet built from one prototype
-            // reads a single cache-hot image across all its nodes.
+            // Decode eagerly: the image is shared (`Arc`) by every clone of
+            // this system, so a fleet built from one prototype reads a
+            // single cache-hot image across all its nodes from set-up.
             let mut t = TurboEngine::new();
             match &self.mach {
                 Mach::Plain(c) => t.prime(&c.env, self.flash_generation),
@@ -832,6 +901,7 @@ impl SosSystem {
     ///
     /// Any [`Fault`], including protection faults as [`Fault::Env`].
     pub fn run_to_break(&mut self, max_cycles: u64) -> Result<Step, Fault> {
+        self.sync_turbo_image();
         let generation = self.flash_generation;
         let r = match (&mut self.mach, &mut self.turbo) {
             (Mach::Plain(c), Some(t)) => t.run_to_break(c, generation, max_cycles),
@@ -849,6 +919,7 @@ impl SosSystem {
     ///
     /// Any [`Fault`].
     pub fn run_to_pc(&mut self, pc: WordAddr, max_cycles: u64) -> Result<Step, Fault> {
+        self.sync_turbo_image();
         let generation = self.flash_generation;
         let r = match (&mut self.mach, &mut self.turbo) {
             (Mach::Plain(c), Some(t)) => t.run_to_pc(c, generation, pc, max_cycles),
@@ -858,6 +929,28 @@ impl SosSystem {
         };
         self.note_result(&r);
         r
+    }
+
+    /// Hands the turbo engine the shared image of the current flash and
+    /// elision state once the flash generation has moved past the engine's:
+    /// at the first run after a change, not at the change itself, so a
+    /// burst of flash writes resolves one image.
+    fn sync_turbo_image(&mut self) {
+        if let Some(t) = &mut self.turbo {
+            if t.generation() != self.flash_generation {
+                if let Some(image) = shared_image(&self.mach, t) {
+                    t.adopt(image, self.flash_generation);
+                }
+            }
+        }
+    }
+
+    /// The decoded image the turbo engine steps from, if turbo is enabled
+    /// and the system has run (or been primed) at its current flash
+    /// generation. Systems that run the same flash and elision state hold
+    /// one image: compare handles with [`Arc::ptr_eq`].
+    pub fn turbo_image(&self) -> Option<&Arc<DecodedImage>> {
+        self.turbo.as_ref().filter(|t| t.generation() == self.flash_generation)?.image()
     }
 
     /// Total cycles executed.

@@ -1,13 +1,16 @@
-//! One elision map per image: systems that hold the same store
-//! certificates publish the same `Arc<ElisionMap>`, so the nodes of a
-//! fleet that installed one image share one 8 KiB map. The memo compares
-//! certificates by value, so a different image in the same domain gets a
-//! map of its own, and it holds maps weakly, so a map goes with the last
-//! system that publishes it.
+//! One certificate and one elision map per image: systems that install
+//! the same module hold the same `Arc<StoreCertificate>`, certified once,
+//! and systems that hold the same certificates publish the same
+//! `Arc<ElisionMap>`, so the nodes of a fleet that installed one image
+//! share one 8 KiB map. The memos compare by value, so a different image
+//! in the same domain gets a certificate and a map of its own, and they
+//! hold their values weakly, so a map goes with the last system that
+//! publishes it.
 //!
 //! The file holds one test, so no other test in the binary can hold a map
 //! this one expects to be freed.
 
+use harbor_flow::StoreCertificate;
 use mini_sos::{loader, modules, ModuleSource, Protection, SosSystem, ENGINES};
 use std::sync::Arc;
 use umpu::ElisionMap;
@@ -20,6 +23,12 @@ fn scheduler_app(a: &mut avr_asm::Asm, api: &mini_sos::KernelApi) {
 /// The map `sys` publishes, if any.
 fn map(sys: &SosSystem) -> Option<Arc<ElisionMap>> {
     sys.umpu_env().expect("UMPU build").elision_map().cloned()
+}
+
+/// The certificate `sys` holds for domain 3, if any.
+fn cert(sys: &SosSystem) -> Option<Arc<StoreCertificate>> {
+    let (certs, _) = sys.store_certificates();
+    certs.iter().find(|(dom, _)| dom.index() == 3).map(|(_, c)| Arc::clone(c))
 }
 
 #[test]
@@ -44,6 +53,18 @@ fn one_image_one_elision_map() {
         };
         let (a, b) = (install(&modules::surge_fixed(3, 1)), install(&modules::surge_fixed(3, 1)));
         let other = install(&modules::stress_store(3));
+        match (cert(&a), cert(&b), cert(&other)) {
+            (Some(ca), Some(cb), Some(co)) if prove => {
+                assert!(Arc::ptr_eq(&ca, &cb), "{on}: one module certified twice");
+                assert!(
+                    !Arc::ptr_eq(&ca, &co),
+                    "{on}: two modules in domain 3 share a certificate"
+                );
+                assert_ne!(ca.digest, co.digest, "{on}: two modules certify the same stores");
+            }
+            (None, None, None) if !prove => {}
+            (a, b, o) => panic!("{on}: certificates held {:?}", [a, b, o].map(|c| c.is_some())),
+        }
         match (map(&a), map(&b), map(&other)) {
             (Some(ma), Some(mb), Some(mo)) if prove => {
                 assert!(Arc::ptr_eq(&ma, &mb), "{on}: one image published two maps");

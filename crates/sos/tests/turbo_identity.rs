@@ -7,7 +7,7 @@
 use avr_core::Fault;
 use harbor::{fault_code, DomainId};
 use harbor_scope::ScopeSink;
-use mini_sos::modules::{blink, consumer, producer, surge, tree_routing};
+use mini_sos::modules::{blink, consumer, producer, stress_store, surge, tree_routing};
 use mini_sos::{Protection, SosSystem, MSG_TIMER};
 
 const BUILDS: [Protection; 3] = [Protection::None, Protection::Sfi, Protection::Umpu];
@@ -150,6 +150,61 @@ fn hot_load_unload_invalidates_and_stays_identical() {
         assert_eq!(reference.flash_generation(), turbo.flash_generation(), "{p:?}");
         let stats = turbo.turbo_stats().unwrap();
         assert!(stats.invalidations >= 2, "{p:?}: hot-load churn must invalidate");
+    }
+}
+
+/// `set_turbo` and `set_prove` commute: whichever comes first, and before
+/// or after boot, a turbo + prove system hot-loading `stress_store` next
+/// to Blink runs exactly like the reference with prove, eliding the same
+/// stores.
+#[test]
+fn turbo_and_prove_in_either_order_run_identically() {
+    let run = |turbo_first: Option<bool>, before_boot: bool| {
+        let mut sys = SosSystem::build(Protection::Umpu, &[blink(0)], |a, api| {
+            api.run_scheduler(a);
+            a.brk();
+        })
+        .unwrap();
+        let enable = |sys: &mut SosSystem| match turbo_first {
+            Some(true) => {
+                sys.set_turbo(true);
+                sys.set_prove(true);
+            }
+            Some(false) => {
+                sys.set_prove(true);
+                sys.set_turbo(true);
+            }
+            None => sys.set_prove(true),
+        };
+        if before_boot {
+            enable(&mut sys);
+        }
+        sys.boot().unwrap();
+        if !before_boot {
+            enable(&mut sys);
+        }
+        sys.load_module(&stress_store(2)).unwrap();
+        for _ in 0..4 {
+            sys.post(DomainId::num(0), MSG_TIMER);
+            sys.post(DomainId::num(2), MSG_TIMER);
+            sys.run_slice(1_000_000).unwrap();
+        }
+        sys
+    };
+    for before_boot in [true, false] {
+        let reference = run(None, before_boot);
+        assert!(reference.stores_elided() > 0, "prove elided no store");
+        for turbo_first in [true, false] {
+            let sys = run(Some(turbo_first), before_boot);
+            let on = format!("turbo first: {turbo_first}, before boot: {before_boot}");
+            assert!(sys.turbo_enabled() && sys.prove_enabled(), "{on}");
+            assert_eq!(sys.cycles(), reference.cycles(), "{on}: cycles");
+            assert_eq!(sys.instructions(), reference.instructions(), "{on}: instructions");
+            assert_eq!(sys.stores_elided(), reference.stores_elided(), "{on}: stores elided");
+            assert_eq!(sys.fault_history(), reference.fault_history(), "{on}: faults");
+            let state = reference.layout.state_addr(2);
+            assert_eq!(sys.sram(state), reference.sram(state), "{on}: stress_store state");
+        }
     }
 }
 

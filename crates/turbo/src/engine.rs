@@ -33,25 +33,29 @@
 //!
 //! # Cache organisation
 //!
-//! Decoded code lives in 256-word **pages** (a flat `pc → instruction`
-//! array, so a lookup is two dependent loads with no tag compare). A
-//! freshly built system may be [`TurboEngine::prime`]d with a complete
-//! decoded image, which is shared behind an `Arc`: a fleet clones one
-//! prototype to hundreds of nodes, and every node then reads the *same*
-//! cache-hot image instead of carrying its own copy. A node whose flash
-//! diverges (OTA install, hot load) drops to a private, lazily decoded
-//! page table.
+//! Decoded code lives in one [`DecodedImage`]: a slot for every word of the
+//! 64k-word flash, in 256-word pages (a flat `pc → instruction` array, so
+//! a lookup is two dependent loads with no tag compare). An engine steps
+//! from one whole image behind an `Arc`, pinned for the length of a run.
+//! Images are values shared by content: a fleet clones one
+//! [`TurboEngine::prime`]d prototype to hundreds of nodes, which all read
+//! the same cache-hot image, and a host that finds another live image
+//! decoded from the same flash and elision state hands it to the engine
+//! with [`TurboEngine::adopt`] (mini-sos keeps such a memo, so every node
+//! that installs one module runs from one image). An engine that no host
+//! feeds decodes a whole image of its own.
 //!
 //! # Invalidation
 //!
 //! Flash is only mutable host-side (the simulated CPU has no `SPM`), so a
 //! single generation counter — bumped by the host on every flash write, see
 //! `SosSystem::flash_generation` — is a sufficient invalidation signal: the
-//! engine drops its pages whenever the caller's generation differs from the
-//! one they were decoded under. Fetch-check state changes (a domain switch,
-//! an `OUT` to the UMPU config ports) are tracked separately and more
-//! cheaply, through [`Env::cfi_epoch`]: they expire the cached page grants,
-//! not the decoded pages.
+//! engine forgets its image whenever the caller's generation differs from
+//! the one it was decoded or adopted under, and steps from a fresh decode
+//! unless the host adopts a shared image for the new generation first.
+//! Fetch-check state changes (a domain switch, an `OUT` to the UMPU config
+//! ports) are tracked separately and more cheaply, through
+//! [`Env::cfi_epoch`]: they expire the cached page grants, not the image.
 
 use crate::table::DecodeTable;
 use avr_core::exec::{Cpu, Env, Step};
@@ -87,11 +91,13 @@ const EMPTY_SLOT: Slot = Slot { instr: Instr::Nop, words: 0, elide: false };
 /// decode a jump into them.
 type Page = [Slot; PAGE_WORDS];
 
-/// A complete decoded flash image at one generation, shared (`Arc`) across
-/// every engine cloned from the same prototype.
+/// A whole decoded flash image: what [`TurboEngine::decode`] built from one
+/// environment's flash and, for store slots, its
+/// [`Env::store_certified`] answers. Immutable once built; engines share
+/// it behind an `Arc`, so it is only ever compared by pointer
+/// ([`Arc::ptr_eq`]).
 #[derive(Debug)]
-struct SharedImage {
-    generation: u64,
+pub struct DecodedImage {
     // Fixed-size, so a lookup indexed by `(pc & 0xffff) >> PAGE_SHIFT` is
     // provably in bounds — no per-step bounds check.
     pages: Box<[Page; PAGES]>,
@@ -100,27 +106,27 @@ struct SharedImage {
 /// Running totals for the engine (test/bench introspection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TurboStats {
-    /// Instructions served from the decoded-page cache.
+    /// Instructions served from the decoded image.
     pub cached: u64,
     /// Instructions executed through the reference fallback path.
     pub fallback: u64,
-    /// Pages decoded (256 per primed image, plus lazy rebuilds after
-    /// invalidation).
+    /// Pages decoded: 256 for every whole image this engine decoded (a
+    /// clone starts from its source's counts). An adopted image adds
+    /// nothing, so of the engines that run one shared image only the one
+    /// that decoded it counts it — whichever ran first.
     pub blocks_built: u64,
-    /// Whole-cache invalidations caused by a generation change.
+    /// Image changes caused by a generation change.
     pub invalidations: u64,
 }
 
 /// The fast-path execution engine. One per CPU; the decode table behind it
-/// is a process-wide static shared by every engine, and a primed engine
-/// additionally shares its decoded image with every clone.
+/// is a process-wide static shared by every engine, and the decoded image
+/// it steps from is shared by every engine that runs the same code.
 #[derive(Debug, Clone)]
 pub struct TurboEngine {
-    /// Complete decoded image from [`TurboEngine::prime`], if the flash has
-    /// not diverged from it since.
-    shared: Option<Arc<SharedImage>>,
-    /// Lazily decoded private pages (used when there is no shared image).
-    private: Box<[Option<Box<Page>>; PAGES]>,
+    /// The image to step from at `generation`; `None` until the first run
+    /// or [`TurboEngine::prime`], and after the generation moves on.
+    image: Option<Arc<DecodedImage>>,
     /// Cached whole-page fetch grants: `cfi_epoch + 1` at grant time, so 0
     /// means "not granted". A stale stamp re-runs the range check.
     page_grant: Box<[u64; PAGES]>,
@@ -135,13 +141,12 @@ impl Default for TurboEngine {
 }
 
 impl TurboEngine {
-    /// Creates an engine with a cold cache (and forces the global decode
+    /// Creates an engine with no image yet (and forces the global decode
     /// table to exist, so first-step latency is table-free).
     pub fn new() -> TurboEngine {
         DecodeTable::global();
         TurboEngine {
-            shared: None,
-            private: Box::new([const { None }; PAGES]),
+            image: None,
             page_grant: Box::new([0; PAGES]),
             generation: 0,
             stats: TurboStats::default(),
@@ -153,42 +158,73 @@ impl TurboEngine {
         self.stats
     }
 
-    /// Eagerly decodes the environment's entire flash into a shared image
-    /// tagged with `generation`. Clones of a primed engine (fleet prototype
-    /// cloning) share the image behind an `Arc`, so a 512-node fleet reads
-    /// one cache-hot copy instead of decoding — and carrying — 512. A
-    /// no-op for environments without a raw code view.
-    pub fn prime<E: Env>(&mut self, env: &E, generation: u64) {
-        if env.code_word(0).is_none() {
-            return;
-        }
+    /// The flash generation the engine's image belongs to.
+    pub const fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The image the engine steps from, if it holds one for its
+    /// generation. Engines running the same code share it: compare
+    /// handles with [`Arc::ptr_eq`].
+    pub fn image(&self) -> Option<&Arc<DecodedImage>> {
+        self.image.as_ref()
+    }
+
+    /// Decodes the environment's entire flash into a new image (counted in
+    /// [`TurboStats::blocks_built`]). Words the environment offers no raw
+    /// view of decode as unservable and take the reference fallback path.
+    pub fn decode<E: Env>(&mut self, env: &E) -> DecodedImage {
         let Ok(pages) = Box::<[Page; PAGES]>::try_from(
             (0..PAGES).map(|pi| build_page(env, pi)).collect::<Vec<Page>>().into_boxed_slice(),
         ) else {
             unreachable!("one page per flash page");
         };
         self.stats.blocks_built += PAGES as u64;
-        self.generation = generation;
-        self.shared = Some(Arc::new(SharedImage { generation, pages }));
-        for p in self.private.iter_mut() {
-            *p = None;
-        }
+        DecodedImage { pages }
     }
 
-    /// Drops every cached page if `generation` differs from the one the
-    /// cache was decoded under (the host bumps its generation on any flash
-    /// write; see the module docs). A primed engine whose image is from an
-    /// older generation falls back to private lazy decoding.
+    /// Eagerly decodes the environment's entire flash into the image for
+    /// `generation`. Clones of a primed engine (fleet prototype cloning)
+    /// share the image behind an `Arc`, so a 512-node fleet reads one
+    /// cache-hot copy instead of decoding — and carrying — 512.
+    pub fn prime<E: Env>(&mut self, env: &E, generation: u64) {
+        self.image = Some(Arc::new(self.decode(env)));
+        self.generation = generation;
+    }
+
+    /// Steps from `image` at `generation` from now on. The host must have
+    /// decoded it from flash and store-certification state equal to the
+    /// environment's at `generation`: a slot's baked elision bit skips the
+    /// memory-map check of its store.
+    pub fn adopt(&mut self, image: Arc<DecodedImage>, generation: u64) {
+        self.sync_generation(generation);
+        self.image = Some(image);
+    }
+
+    /// Forgets the image if `generation` differs from the one it belongs
+    /// to (the host bumps its generation on any flash write; see the module
+    /// docs), counting one invalidation. Unless the host then hands it an
+    /// image with [`TurboEngine::adopt`], the next run decodes a whole
+    /// image of its own.
     pub fn sync_generation(&mut self, generation: u64) {
         if self.generation != generation {
             self.generation = generation;
-            if self.shared.as_ref().is_some_and(|img| img.generation != generation) {
-                self.shared = None;
-            }
-            for p in self.private.iter_mut() {
-                *p = None;
-            }
+            self.image = None;
             self.stats.invalidations += 1;
+        }
+    }
+
+    /// The image to step from at `generation`, decoded from `env` if the
+    /// engine holds none for it.
+    fn image_for<E: Env>(&mut self, env: &E, generation: u64) -> Arc<DecodedImage> {
+        self.sync_generation(generation);
+        match &self.image {
+            Some(image) => Arc::clone(image),
+            None => {
+                let image = Arc::new(self.decode(env));
+                self.image = Some(Arc::clone(&image));
+                image
+            }
         }
     }
 
@@ -200,8 +236,8 @@ impl TurboEngine {
     /// Exactly the faults [`Cpu::step`] would raise, with identical CPU
     /// state, cycle counts and protection-event streams.
     pub fn step<E: Env>(&mut self, cpu: &mut Cpu<E>, generation: u64) -> Result<Step, Fault> {
-        self.sync_generation(generation);
-        self.step_synced(cpu)
+        let image = self.image_for(&cpu.env, generation);
+        self.step_with_image(cpu, &image.pages)
     }
 
     /// Runs until `BREAK`/`SLEEP`, mirroring [`Cpu::run_to_break`] (including
@@ -216,25 +252,14 @@ impl TurboEngine {
         generation: u64,
         max_cycles: u64,
     ) -> Result<Step, Fault> {
-        self.sync_generation(generation);
         let limit = cpu.cycles().saturating_add(max_cycles);
-        // Pin the shared image for the whole run (flash only mutates
-        // host-side, between runs), so the per-step path is a direct page
-        // lookup with no `Option` dispatch or pointer re-chasing.
-        if let Some(img) = self.shared.clone() {
-            let pages: &[Page; PAGES] = &img.pages;
-            loop {
-                match self.step_with_image(cpu, pages)? {
-                    Step::Continue => {}
-                    s => return Ok(s),
-                }
-                if cpu.cycles() > limit {
-                    return Err(Fault::CycleLimit { cycles: cpu.cycles() });
-                }
-            }
-        }
+        // Pin the image for the whole run (flash only mutates host-side,
+        // between runs), so the per-step path is a direct page lookup with
+        // no `Option` dispatch or pointer re-chasing.
+        let image = self.image_for(&cpu.env, generation);
+        let pages: &[Page; PAGES] = &image.pages;
         loop {
-            match self.step_synced(cpu)? {
+            match self.step_with_image(cpu, pages)? {
                 Step::Continue => {}
                 s => return Ok(s),
             }
@@ -256,23 +281,11 @@ impl TurboEngine {
         stop_pc: WordAddr,
         max_cycles: u64,
     ) -> Result<Step, Fault> {
-        self.sync_generation(generation);
         let limit = cpu.cycles().saturating_add(max_cycles);
-        if let Some(img) = self.shared.clone() {
-            let pages: &[Page; PAGES] = &img.pages;
-            while cpu.pc != stop_pc {
-                match self.step_with_image(cpu, pages)? {
-                    Step::Continue => {}
-                    s => return Ok(s),
-                }
-                if cpu.cycles() > limit {
-                    return Err(Fault::CycleLimit { cycles: cpu.cycles() });
-                }
-            }
-            return Ok(Step::Continue);
-        }
+        let image = self.image_for(&cpu.env, generation);
+        let pages: &[Page; PAGES] = &image.pages;
         while cpu.pc != stop_pc {
-            match self.step_synced(cpu)? {
+            match self.step_with_image(cpu, pages)? {
                 Step::Continue => {}
                 s => return Ok(s),
             }
@@ -283,41 +296,9 @@ impl TurboEngine {
         Ok(Step::Continue)
     }
 
-    #[inline]
-    fn step_synced<E: Env>(&mut self, cpu: &mut Cpu<E>) -> Result<Step, Fault> {
-        cpu.begin_step()?;
-        let pc = cpu.pc;
-        // Flash wraps at 64k words (as `Flash::word` does), so the cache
-        // index does too; `pc` itself stays raw, matching the reference.
-        let idx = (pc as usize) & (FLASH_WORDS - 1);
-        // Both indices are masked to their table sizes, so every lookup
-        // below is provably in bounds.
-        let (pi, off) = ((idx >> PAGE_SHIFT) & (PAGES - 1), idx & (PAGE_WORDS - 1));
-        let slot = match &self.shared {
-            Some(img) => img.pages[pi][off],
-            None => match &mut self.private[pi] {
-                Some(p) => p[off],
-                p @ None => {
-                    self.stats.blocks_built += 1;
-                    p.insert(Box::new(build_page(&cpu.env, pi)))[off]
-                }
-            },
-        };
-        if slot.words == 0 {
-            // Unservable word (no raw code view, or a reserved encoding):
-            // run the literal reference tail so faults are byte-identical.
-            self.stats.fallback += 1;
-            return cpu.step_tail();
-        }
-        self.fetch_checked(cpu, pi, off, pc, slot.words)?;
-        self.stats.cached += 1;
-        cpu.set_store_hint(slot.elide);
-        cpu.exec_decoded(pc, slot.instr)
-    }
-
-    /// [`TurboEngine::step_synced`] with the shared image pre-resolved by
-    /// the caller's run loop: the page lookup is two dependent loads off a
-    /// pinned data pointer, with no `Option` dispatch.
+    /// One reference step from the image the caller's run loop pinned: the
+    /// page lookup is two dependent loads off a pinned data pointer, with
+    /// no `Option` dispatch.
     #[inline(always)]
     fn step_with_image<E: Env>(
         &mut self,
@@ -326,10 +307,16 @@ impl TurboEngine {
     ) -> Result<Step, Fault> {
         cpu.begin_step()?;
         let pc = cpu.pc;
+        // Flash wraps at 64k words (as `Flash::word` does), so the image
+        // index does too; `pc` itself stays raw, matching the reference.
+        // Both indices are masked to their table sizes, so the lookup is
+        // provably in bounds.
         let idx = (pc as usize) & (FLASH_WORDS - 1);
         let (pi, off) = ((idx >> PAGE_SHIFT) & (PAGES - 1), idx & (PAGE_WORDS - 1));
         let slot = pages[pi][off];
         if slot.words == 0 {
+            // Unservable word (no raw code view, or a reserved encoding):
+            // run the literal reference tail so faults are byte-identical.
             self.stats.fallback += 1;
             return cpu.step_tail();
         }

@@ -8,13 +8,15 @@
 //! * [`DecodeTable`] — a 64k-entry predecode table covering every possible
 //!   first opcode word, built once per process from the reference decoder
 //!   (so it cannot diverge) and shared by all engines;
-//! * [`TurboEngine`] — a per-CPU cache of decoded 256-word flash pages,
-//!   keyed on a **flash generation counter** supplied by the host (the
-//!   simulated CPU cannot write flash, so host-side writes are the only
-//!   invalidation source). A primed engine shares one complete decoded
-//!   image behind an `Arc` with every clone — a fleet's worth of nodes
-//!   reads a single cache-hot copy — and steps the reference CPU through
-//!   [`avr_core::exec::Cpu::exec_decoded`].
+//! * [`TurboEngine`] — a per-CPU engine stepping from one whole
+//!   [`DecodedImage`] of flash, keyed on a **flash generation counter**
+//!   supplied by the host (the simulated CPU cannot write flash, so
+//!   host-side writes are the only invalidation source). Images are shared
+//!   behind an `Arc`: every clone of a primed engine reads its image, and a
+//!   host that keeps a memo of live images by content hands one to every
+//!   engine whose flash matches ([`TurboEngine::adopt`]), so a fleet's
+//!   worth of nodes reads a single cache-hot copy. The engine steps the
+//!   reference CPU through [`avr_core::exec::Cpu::exec_decoded`].
 //!
 //! The engine is *cycle-identical* to the reference by construction: the
 //! interrupt latch, per-store MMC arbitration and the execute match itself
@@ -33,5 +35,5 @@
 mod engine;
 mod table;
 
-pub use engine::{TurboEngine, TurboStats};
+pub use engine::{DecodedImage, TurboEngine, TurboStats};
 pub use table::DecodeTable;

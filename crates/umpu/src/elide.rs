@@ -8,7 +8,7 @@
 //! store path. It is immutable once published — the host swaps in a freshly
 //! built map at every certificate rebuild point (boot, module install,
 //! module unload), the same points that bump the loader's flash generation,
-//! so decoded fast-path pages can never outlive the map they baked in.
+//! so a decoded fast-path image can never outlive the map it baked in.
 
 /// Immutable per-PC bitmap of statically certified store instructions.
 ///

@@ -1,10 +1,11 @@
 //! Heap guard for fleet memory. Nodes are clones of one booted prototype
 //! and share its kernel image and flash pages; a checkpoint is one more
 //! clone, and an install copies only the flash pages it burns. Systems
-//! that install one image share one elision map. This file counts live
-//! heap bytes with a counting global allocator and bounds what one node,
-//! one clone and one install keep, so a slide back to private per-node
-//! flash (128 KiB a node) fails here. It also bounds what a converged
+//! that install one image share one certificate, one elision map and one
+//! decoded turbo image. This file counts live heap bytes with a counting
+//! global allocator and bounds what one node, one clone and one install
+//! keep, so a slide back to private per-node flash (128 KiB a node) or to
+//! private decoded code fails here. It also bounds what a converged
 //! fleet gains over a long soak, which holds causal logging to the
 //! blackbox fleets that read it.
 //!
@@ -143,17 +144,23 @@ fn soak_round(fleet: &mut Fleet) {
     fleet.step_round();
 }
 
-/// Bounds, at 1.5× or more of what this test measured on x86-64: 15,317 B
-/// per node, 13,309 B per clone (SRAM, the 512-entry page table, turbo's
-/// per-engine page tables, module objects and certificates), 9,256 B for
-/// the first install of an image (an 8 KiB elision map, its memo key and
-/// the flash pages it burns) and 872 B for a second install of it, which
-/// shares the first one's map. With private flash a node and a clone each keep
-/// over 131,072 B.
+/// Bounds, at 1.5× or more of what this test measured on x86-64: 13,165 B
+/// per node, 11,165 B per clone (SRAM, the 512-entry page table, turbo's
+/// 2 KiB of page grants, module objects and certificates), 9,166 B for the
+/// first install of an image (an 8 KiB elision map, its memo key and the
+/// flash pages it burns) and 784 B for a second install of it, which
+/// shares the first one's certificate and map. Installing and running the
+/// slice that resolves the turbo image keeps 791,472 B on the first clone
+/// (one whole decoded image and its memo key) and 792 B on the second,
+/// which runs from that image; a private decode per node would keep about
+/// 25 KB there. With private flash a node and a clone each keep over
+/// 131,072 B.
 const NODE_BOUND: usize = 24 * 1024;
 const CLONE_BOUND: usize = 20 * 1024;
 const INSTALL_BOUND: usize = 14 * 1024;
 const SHARED_INSTALL_BOUND: usize = 2 * 1024;
+const DECODE_BOUND: usize = 1160 * 1024;
+const SHARED_RUN_BOUND: usize = 2 * 1024;
 
 /// Bound on what the converged soak fleet, without the blackbox, gains
 /// over [`SOAK_ROUNDS`]; this test measured 0 B on x86-64. Its nodes hear
@@ -185,12 +192,28 @@ fn nodes_checkpoints_and_installs_keep_only_what_they_burn() {
     let loaded = surge();
     let ((), shared_install) = kept(|| second.install_module(loaded));
 
+    // Install plus the slice that resolves the turbo image, on two more
+    // clones: the first decodes the new flash image, the second runs from
+    // it. (Both find the certificate and map the installs above made.)
+    let install_and_run = |sys: &mut SosSystem| {
+        let loaded = surge();
+        kept(|| {
+            sys.install_module(loaded);
+            sys.run_slice(1_000_000).expect("the init slice runs");
+        })
+        .1
+    };
+    let (mut third, mut fourth) = (proto.clone(), proto.clone());
+    let decoded = install_and_run(&mut third);
+    let shared_run = install_and_run(&mut fourth);
+
     let mut soak = converged_soak_fleet(None);
     let ((), soaked) = kept(|| (0..SOAK_ROUNDS).for_each(|_| soak_round(&mut soak)));
 
     eprintln!(
         "live heap: {per_node} B/node, {per_clone} B/clone, {per_install} B/install, \
-         {shared_install} B/second install, {soaked} B over the soak"
+         {shared_install} B/second install, {decoded} B/install and run, \
+         {shared_run} B/second install and run, {soaked} B over the soak"
     );
     assert!(per_node <= NODE_BOUND, "{per_node} B per fleet node (bound {NODE_BOUND})");
     assert!(per_clone <= CLONE_BOUND, "{per_clone} B per system clone (bound {CLONE_BOUND})");
@@ -198,6 +221,11 @@ fn nodes_checkpoints_and_installs_keep_only_what_they_burn() {
     assert!(
         shared_install <= SHARED_INSTALL_BOUND,
         "{shared_install} B for a second install of one image (bound {SHARED_INSTALL_BOUND})"
+    );
+    assert!(decoded <= DECODE_BOUND, "{decoded} B per install and run (bound {DECODE_BOUND})");
+    assert!(
+        shared_run <= SHARED_RUN_BOUND,
+        "{shared_run} B for a second install and run of one image (bound {SHARED_RUN_BOUND})"
     );
     assert!(soaked <= SOAK_BOUND, "{soaked} B gained over the soak (bound {SOAK_BOUND})");
     assert!(soak.causal_logs().is_empty(), "a fleet without the blackbox kept causal logs");
